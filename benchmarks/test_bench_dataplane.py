@@ -10,13 +10,13 @@ on every tier) and only :meth:`DataPlane.process_all` is inside the
 timer, so the measured number is the pipeline's processing rate: the
 batch_runner critical section, the per-packet frame fill, the program,
 and verdict routing.  Every tier runs the **same** leg **twice**
-(2x175k packets per tier — 1.05M offered in a full run): equal
-counts matter because the simulated address space indexes every
-allocation it has ever seen (UAF detection), so per-packet cost
-rises with run length and a longer leg would be penalized; the
-repeat both checks seeded bit-identity per tier and lets the pps
+(2x175k packets per tier — 1.05M offered in a full run): the equal
+legs serve the bit-identity check (two runs of one seed and count
+must produce the same plane signature), and the repeat lets the pps
 gates use the best of the two runs, which squeezes out scheduler
-noise that a single multi-second leg is exposed to.
+noise that a single multi-second leg is exposed to.  Leg length no
+longer moves per-packet cost: the address space recycles each run's
+stack frame, so its index stays flat however long a leg runs.
 
 Gates:
 
@@ -65,9 +65,8 @@ COUNTS = {"interp": LEG, "fast": LEG, "compiled": LEG}
 def measure_tier(engine, count):
     """Drive ``count`` seeded packets through one tier; returns pps,
     verdicts, virtual-latency percentiles and the plane signature."""
-    # collect the previous leg's kernel (hundreds of thousands of
-    # tracked allocations) so its gen-2 sweeps don't land inside this
-    # leg's timed sections
+    # collect the previous leg's kernel so its teardown doesn't land
+    # inside this leg's timed sections
     gc.collect()
     kernel = Kernel()
     bpf = BpfSubsystem(kernel, engine=engine)

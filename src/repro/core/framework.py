@@ -83,11 +83,15 @@ class SafeExtensionFramework:
 
     def run_on_packet(self, loaded: LoadedExtension,
                       payload: bytes) -> RunResult:
-        """Build an skb context and run (XDP-style hook)."""
+        """Build an skb context and run (XDP-style hook); the skb is
+        freed once the result is known."""
         skb = self.kernel.create_skb(payload)
         ctx = KernelResource("xdp_ctx", f"skb@{skb.address:#x}",
                              lambda: None, payload=skb)
-        return self.run(loaded, ctx)
+        try:
+            return self.run(loaded, ctx)
+        finally:
+            skb.free()
 
     def run_on_trace(self, loaded: LoadedExtension) -> RunResult:
         """Run a tracing extension (no packet context)."""

@@ -402,15 +402,23 @@ class BpfSubsystem:
 
     def run_on_packet(self, prog: LoadedProgram,
                       payload: bytes) -> int:
-        """Build an skb for ``payload`` and run (XDP/socket filter)."""
+        """Build an skb for ``payload`` and run (XDP/socket filter);
+        the skb is freed once the verdict is known."""
         skb = self.kernel.create_skb(payload)
-        return self._dispatch(prog, skb.address)
+        try:
+            return self._dispatch(prog, skb.address)
+        finally:
+            skb.free()
 
     def run_on_current_task(self, prog: LoadedProgram) -> int:
-        """Run a tracing program against a pt_regs-like context."""
+        """Run a tracing program against a pt_regs-like context,
+        freed once the program returns."""
         regs = self.kernel.mem.kmalloc(64, type_name="pt_regs",
                                        owner="trace")
-        return self._dispatch(prog, regs.base)
+        try:
+            return self._dispatch(prog, regs.base)
+        finally:
+            self.kernel.mem.kfree(regs)
 
     # -- attachment points --------------------------------------------------------
 

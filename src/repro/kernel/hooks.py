@@ -85,16 +85,20 @@ class HookManager:
         """Run a packet through the hook chain.
 
         Returns the final verdict and the names that saw the packet;
-        the chain stops at the first DROP (the packet is gone)."""
+        the chain stops at the first DROP (the packet is gone).  The
+        skb is freed once the verdict is known."""
         self.dispatched[hook] = self.dispatched.get(hook, 0) + 1
         skb = self.kernel.create_skb(payload)
         saw: List[str] = []
-        for attachment in self._hooks.get(hook, []):
-            saw.append(attachment.name)
-            verdict = attachment.run(skb)
-            if verdict == XDP_DROP:
-                return XDP_DROP, saw
-        return XDP_PASS, saw
+        try:
+            for attachment in self._hooks.get(hook, []):
+                saw.append(attachment.name)
+                verdict = attachment.run(skb)
+                if verdict == XDP_DROP:
+                    return XDP_DROP, saw
+            return XDP_PASS, saw
+        finally:
+            skb.free()
 
     def fire_trace(self, hook: str = "trace") -> List[Tuple[str, int]]:
         """Fire a tracing hook; every attachment runs."""

@@ -13,13 +13,26 @@ which detect exactly the fault classes of the paper's Table 1:
 A detected fault is reported through the fault hook (wired to the
 kernel's oops path) and raised, so an unsafe helper genuinely *crashes
 the simulated kernel* rather than raising a polite Python error.
+
+Freed memory stays indexed only as long as it can still catch a bug,
+so the index stays flat over runs of any length:
+
+* the per-run eBPF stack (``bpf_stack``) goes on a LIFO free list and
+  the next run's ``kmalloc`` of a stack hands the same range out again,
+  zeroed, under a fresh :class:`Allocation` — between runs the frame is
+  freed, so an access from outside any run is still a use-after-free;
+* every other freed range waits in a FIFO quarantine of
+  :data:`QUARANTINE_BYTES` (KASAN's design).  Once later frees push it
+  out it leaves the index, and since addresses are never reused for
+  other types, a late access to it faults as a wild access.
 """
 
 from __future__ import annotations
 
 import bisect
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.errors import (
     MemoryFault,
@@ -36,6 +49,20 @@ NULL_PAGE_SIZE = 4096
 
 #: allocation granularity
 ALLOC_ALIGN = 16
+
+#: type of the per-run eBPF stack frame, the one recycled type
+STACK_TYPE = "bpf_stack"
+
+#: address space the quarantine may hold, counted in slots (see
+#: :func:`slot_bytes`): at most 8192 freed ranges, so evicting one
+#: from the sorted index stays a short memmove
+QUARANTINE_BYTES = 1 << 18
+
+
+def slot_bytes(size: int) -> int:
+    """Address space one allocation of ``size`` occupies: the size
+    rounded up to :data:`ALLOC_ALIGN`, plus the red zone after it."""
+    return ((size + ALLOC_ALIGN - 1) & ~(ALLOC_ALIGN - 1)) + ALLOC_ALIGN
 
 
 @dataclass
@@ -66,9 +93,16 @@ class KernelAddressSpace:
     def __init__(self) -> None:
         self._next_base = KERNEL_BASE
         self._next_id = 1
-        self._by_base: List[int] = []          # sorted bases, live + freed
+        # every range that still resolves: live, free-listed stacks
+        # and quarantined frees
+        self._by_base: List[int] = []          # sorted bases
         self._allocations: Dict[int, Allocation] = {}  # base -> Allocation
         self._live_bytes = 0
+        #: freed stack frames by size, reused last-in first-out
+        self._free_frames: Dict[int, List[Allocation]] = {}
+        #: other freed ranges, oldest first
+        self._quarantine: Deque[Allocation] = deque()
+        self._quarantined_bytes = 0
         #: called with the fault exception before it is raised; the
         #: kernel wires this to its oops path
         self.fault_hook: Optional[Callable[[MemoryFault], None]] = None
@@ -87,12 +121,20 @@ class KernelAddressSpace:
 
     def kmalloc(self, size: int, type_name: str = "void",
                 owner: str = "kernel") -> Allocation:
-        """Allocate ``size`` bytes of zeroed kernel memory."""
+        """Allocate ``size`` bytes of zeroed kernel memory.
+
+        A stack frame reuses the range of the last freed frame of its
+        size, if there is one; everything else gets a fresh range."""
         if size <= 0:
             raise ValueError(f"kmalloc size must be positive, got {size}")
-        base = self._next_base
-        aligned = (size + ALLOC_ALIGN - 1) & ~(ALLOC_ALIGN - 1)
-        self._next_base += aligned + ALLOC_ALIGN  # red zone between objects
+        frames = (self._free_frames.get(size)
+                  if type_name == STACK_TYPE else None)
+        if frames:
+            base = frames.pop().base
+        else:
+            base = self._next_base
+            self._next_base += slot_bytes(size)
+            self._by_base.append(base)  # fresh bases only grow
         alloc = Allocation(
             alloc_id=self._next_id,
             base=base,
@@ -102,7 +144,6 @@ class KernelAddressSpace:
             data=bytearray(size),
         )
         self._next_id += 1
-        bisect.insort(self._by_base, base)
         self._allocations[base] = alloc
         self._live_bytes += size
         return alloc
@@ -115,8 +156,16 @@ class KernelAddressSpace:
                 address=alloc.base, source=alloc.owner))
         alloc.freed = True
         self._live_bytes -= alloc.size
-        # The range stays known so later accesses report use-after-free
-        # instead of a wild access (KASAN-style quarantine).
+        # The range stays indexed so later accesses report use-after-
+        # free instead of a wild access: a stack until the next run
+        # reuses it, anything else until the quarantine evicts it.
+        if alloc.type_name == STACK_TYPE:
+            self._free_frames.setdefault(alloc.size, []).append(alloc)
+            return
+        self._quarantine.append(alloc)
+        self._quarantined_bytes += slot_bytes(alloc.size)
+        while self._quarantined_bytes > QUARANTINE_BYTES:
+            self._evict(self._quarantine.popleft())
 
     @property
     def live_bytes(self) -> int:
@@ -200,7 +249,7 @@ class KernelAddressSpace:
 
     def find_allocation(self, address: int) -> Optional[Allocation]:
         """The allocation whose range covers ``address``, if any
-        (freed allocations included)."""
+        (freed ones included until reused or evicted)."""
         idx = bisect.bisect_right(self._by_base, address) - 1
         if idx < 0:
             return None
@@ -217,8 +266,12 @@ class KernelAddressSpace:
             self._fault(NullDereference(
                 f"NULL pointer dereference at {address:#x}",
                 address=address, source=source))
-        alloc = self.find_allocation(address)
-        if alloc is None:
+        # find_allocation inlined: this runs on every checked access
+        by_base = self._by_base
+        idx = bisect.bisect_right(by_base, address) - 1
+        alloc = self._allocations[by_base[idx]] if idx >= 0 else None
+        end = alloc.base + alloc.size if alloc is not None else address
+        if address >= end:
             self._fault(MemoryFault(
                 f"wild kernel access at unmapped address {address:#x}",
                 address=address, source=source))
@@ -227,12 +280,18 @@ class KernelAddressSpace:
             self._fault(UseAfterFree(
                 f"use-after-free of {alloc.type_name} at {address:#x}",
                 address=address, source=source))
-        if address + size > alloc.end:
+        if address + size > end:
             self._fault(OutOfBoundsAccess(
                 f"out-of-bounds access of {alloc.type_name}: "
-                f"[{address:#x}, +{size}) beyond {alloc.end:#x}",
+                f"[{address:#x}, +{size}) beyond {end:#x}",
                 address=address, source=source))
         return alloc
+
+    def _evict(self, alloc: Allocation) -> None:
+        """Drop a quarantined range from the index for good."""
+        self._quarantined_bytes -= slot_bytes(alloc.size)
+        del self._allocations[alloc.base]
+        del self._by_base[bisect.bisect_left(self._by_base, alloc.base)]
 
     def _fault(self, fault: MemoryFault) -> None:
         """Report a fault through the hook, then raise it."""

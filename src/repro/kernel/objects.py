@@ -163,7 +163,6 @@ class SkBuff(KernelObject):
     def __init__(self, mem: KernelAddressSpace, payload: bytes,
                  protocol: int = 0x0800) -> None:
         super().__init__(mem)
-        self._mem2 = mem
         self.payload_alloc = mem.kmalloc(
             max(len(payload), 1), type_name="skb_data", owner="net")
         mem.write(self.payload_alloc.base, payload)
@@ -171,6 +170,11 @@ class SkBuff(KernelObject):
         self.write_field("protocol", protocol)
         self.write_field("data", self.payload_alloc.base)
         self.write_field("data_end", self.payload_alloc.base + len(payload))
+
+    def free(self) -> None:
+        """Release the header and the payload it points to."""
+        super().free()
+        self._mem.kfree(self.payload_alloc)
 
     @property
     def data(self) -> int:

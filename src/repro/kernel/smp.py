@@ -669,9 +669,12 @@ class _AtomicScope:
 
 
 #: allocation type names that are private to one task/CPU by
-#: construction — accesses to them are neither recorded nor yielded
+#: construction — accesses to them are neither recorded nor yielded.
+#: A stack frame's range is recycled to later invocations on any CPU,
+#: but each gets a new allocation, and a range is never live for two
+#: invocations at once
 PRIVATE_TYPES = frozenset({
-    "bpf_stack",      # one per program invocation
+    "bpf_stack",      # live for one program invocation
     "xdp_frame",      # one preallocated frame per RX queue
     "xdp_ctx",        # ditto: the 32-byte SkBuff-layout context
     "skb_data",       # packet payload owned by its queue's CPU

@@ -4,11 +4,11 @@ Frames live in real simulated kernel memory so XDP programs read and
 write packet bytes through checked loads/stores, but — unlike
 :meth:`~repro.kernel.kernel.Kernel.create_skb`, which kmallocs per
 packet — every RX queue owns one preallocated, endlessly reused
-:class:`XdpFrame`.  The address space never forgets an allocation
-(that is what makes use-after-free detectable), so per-packet kmalloc
-would grow the allocation index without bound and turn a million-packet
-bench run into a bisect stress test.  Reuse is also what real drivers
-do (page pools); the simulation just agrees with them.
+:class:`XdpFrame`, as real drivers reuse page-pool pages.  Refilling
+it is two checked writes.  A per-packet skb would cost two kmallocs
+and two kfrees, and each freed skb would pass through the address
+space's quarantine, pushing out older freed ranges that could still
+catch a use-after-free.
 
 Failpoints: ``net.nic.rx`` fires on every packet at the wire
 (errno = the NIC silently eats it), ``net.queue.enqueue`` at RX-ring

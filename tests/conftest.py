@@ -38,6 +38,26 @@ def assert_kernel_isolated(kernel):
         "kernel isolation violated:\n" + "\n".join(violations)
 
 
+def watch_stack_frames(mem):
+    """Wrap ``mem.kmalloc`` to check, at every eBPF stack allocation,
+    that no two live frames share a base.  Returns the list the stack
+    frames are appended to, in allocation order."""
+    frames = []
+    kmalloc = mem.kmalloc
+
+    def checked(size, type_name="void", owner="kernel"):
+        alloc = kmalloc(size, type_name=type_name, owner=owner)
+        if type_name == "bpf_stack":
+            bases = [a.base for a in mem.live_allocations()
+                     if a.type_name == "bpf_stack"]
+            assert len(bases) == len(set(bases)), bases
+            frames.append(alloc)
+        return alloc
+
+    mem.kmalloc = checked
+    return frames
+
+
 @pytest.fixture
 def leakcheck(request):
     """Collect kernels to invariant-check when the test ends.
