@@ -20,36 +20,33 @@ coverage:
 
 # Replay the attack corpus under every canned fault schedule, check
 # the isolation invariants, and prove the replay is a pure function
-# of the seed by running it twice.
+# of the seed by running it twice.  Every scenario target below runs
+# `python -m repro.scenarios <suite>`, which always runs its suite
+# twice and compares signatures; append `--smoke` for CI's profile.
 chaos:
-	PYTHONPATH=src python -m repro.faultinject.chaos \
-		--check-determinism
+	PYTHONPATH=src python -m repro.scenarios chaos
 
 # Same corpus replay with the recovery supervisor enabled: every case
 # must leave the kernel alive (oopses contained, taint clear), plus a
 # per-schedule demonstration that a crashing program is quarantined
 # and auto-reloaded back to health — deterministically per seed.
 recover:
-	PYTHONPATH=src python -m repro.faultinject.chaos \
-		--recover --check-determinism
+	PYTHONPATH=src python -m repro.scenarios recover
 
 # Deterministic race hunt: explore seeded multi-CPU interleavings
 # until both planted concurrency bugs (lock-discipline, RCU
 # use-after-grace) are found with replayable seeds, then prove the
 # race-free corpus clean (zero detector findings) and bit-identical
-# across nproc=1/2/4.  REPRO_RACE_SMOKE=1 shrinks the budgets for CI.
+# across nproc=1/2/4.
 race:
-	PYTHONPATH=src python -m repro.faultinject.interleave
+	PYTHONPATH=src python -m repro.scenarios race
 
-# Staged-rollout acceptance demo: a 200-node simulated fleet must
-# take the good release to 100%, halt the planted bad release at its
-# canary wave and roll every node back, and produce bit-identical
-# rollout signatures + telemetry exports across two invocations of
-# the same seed.  FLEET_NODES/FLEET_SEED override the defaults.
+# Staged-rollout acceptance: a 200-node simulated fleet must take the
+# good release to 100%, halt the planted bad release at its canary
+# wave and roll every node back, and produce bit-identical rollout
+# signatures + telemetry exports across two runs of the same seed.
 fleet:
-	PYTHONPATH=src python -m repro.fleet.demo \
-		--nodes $(or $(FLEET_NODES),200) \
-		--seed $(or $(FLEET_SEED),7)
+	PYTHONPATH=src python -m repro.scenarios fleet
 
 # Fleet under fire: both canonical releases rolled out under every
 # control-channel chaos schedule (drops, dups, delays past the RPC
@@ -57,10 +54,9 @@ fleet:
 # leg per pair — the orchestrator is killed at journal-append
 # boundaries and resumed until the rollout lands, and the resumed
 # report signature must be bit-identical to the uninterrupted run's.
-# Runs twice to prove the whole harness is a pure function of the
-# seed.  REPRO_FLEET_SMOKE=1 shrinks the fleet and schedules for CI.
+# Runs twice to prove the whole suite is a pure function of the seed.
 fleet-chaos:
-	PYTHONPATH=src python -m repro.fleet.chaos --check-determinism
+	PYTHONPATH=src python -m repro.scenarios fleet-chaos
 
 # Interpreter/load-cache throughput plus telemetry overhead. Writes
 # BENCH_throughput.json (fast-path speedup ratio gated at 80% of

@@ -53,12 +53,12 @@ def alu_loop_prog():
             .program())
 
 
-def measure(fast, stats_enabled):
+def measure(engine, stats_enabled):
     """Insns/sec for one engine with telemetry on or off."""
     kernel = Kernel()
     if stats_enabled:
         kernel.telemetry.enable()
-    bpf = BpfSubsystem(kernel, fast_path=fast)
+    bpf = BpfSubsystem(kernel, engine=engine)
     prog = bpf.load_program(alu_loop_prog(), ProgType.KPROBE, "bench")
     bpf.run_on_current_task(prog)       # warm-up
     executed_before = bpf.vm.insns_executed
@@ -81,9 +81,9 @@ def measure(fast, stats_enabled):
 @pytest.fixture(scope="module")
 def results():
     """Measure all four corners once, persist the JSON."""
-    fast_off = measure(fast=True, stats_enabled=False)
-    fast_on = measure(fast=True, stats_enabled=True)
-    slow_off = measure(fast=False, stats_enabled=False)
+    fast_off = measure("fast", stats_enabled=False)
+    fast_on = measure("fast", stats_enabled=True)
+    slow_off = measure("interp", stats_enabled=False)
     res = {
         "fast_stats_off": fast_off,
         "fast_stats_on": fast_on,

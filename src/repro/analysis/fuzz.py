@@ -226,9 +226,9 @@ def fuzz_campaign(iterations: int = 300, seed: int = 1337,
 #: the fast path running JIT-lowered instructions, and the compiled
 #: tier (exec-generated Python over the predecoded table)
 DIFF_ENGINES = (
-    ("interp", {"use_jit": False, "fast_path": False}),
-    ("fast", {"use_jit": False, "fast_path": True}),
-    ("jit", {"use_jit": True, "fast_path": True}),
+    ("interp", {"use_jit": False, "engine": "interp"}),
+    ("fast", {"use_jit": False, "engine": "fast"}),
+    ("jit", {"use_jit": True, "engine": "fast"}),
     ("compiled", {"use_jit": False, "engine": "compiled"}),
 )
 

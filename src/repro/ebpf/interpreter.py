@@ -37,7 +37,7 @@ predecode.PredecodedProgram` dispatch table built at load time, and
 
 ``engine`` on :class:`BpfVm` (or per program via
 ``LoadedProgram.engine``) selects a tier explicitly;
-``DEFAULT_ENGINE`` / ``DEFAULT_FAST_PATH`` pick for VMs that don't.
+``DEFAULT_ENGINE`` picks for VMs that don't.
 All engines must stay observationally identical (see
 ``tests/ebpf/test_fastpath_differential.py`` and
 ``tests/ebpf/test_malformed_differential.py``).
@@ -75,18 +75,14 @@ _F64 = 1 << 64
 _H32 = 1 << 31
 _F32 = 1 << 32
 
-#: engine used by VMs that don't pick one explicitly; the slow
-#: decode-per-step path stays available as the differential baseline
-DEFAULT_FAST_PATH = True
-
 #: the three execution tiers, slowest to fastest (re-exported from
 #: :mod:`repro.ebpf.engine`, the single source of truth)
 ENGINES = ENGINE_NAMES
 
-#: explicit module-default engine; ``None`` defers to
-#: ``DEFAULT_FAST_PATH`` (kept for compatibility with older tests
-#: and tooling that flip the boolean)
-DEFAULT_ENGINE: Optional[str] = None
+#: engine used by VMs that don't pick one explicitly; the slow
+#: decode-per-step ``interp`` stays available as the differential
+#: baseline
+DEFAULT_ENGINE = "fast"
 
 
 def _cond_eval(cond: int, d: int, s: int, half: int, full: int) -> bool:
@@ -159,25 +155,15 @@ class BpfVm:
     def __init__(self, kernel: Kernel, subsystem: "object",
                  bugs: Optional[BugConfig] = None,
                  loop_sample_limit: int = 256,
-                 fast_path: Optional[bool] = None,
                  engine: Optional[str] = None) -> None:
         self.kernel = kernel
         self.subsystem = subsystem
         self.bugs = bugs or BugConfig()
         #: concrete iterations executed before fast-forwarding a loop
         self.loop_sample_limit = loop_sample_limit
-        if engine is None:
-            if fast_path is not None:
-                engine = "fast" if fast_path else "interp"
-            elif DEFAULT_ENGINE is not None:
-                engine = DEFAULT_ENGINE
-            else:
-                engine = "fast" if DEFAULT_FAST_PATH else "interp"
         #: default execution tier; a loaded program may override it
         #: via its own ``engine`` attribute
-        self.engine = resolve_engine(engine)
-        #: legacy boolean view of the engine (anything predecoded)
-        self.fast_path = engine != "interp"
+        self.engine = resolve_engine(engine, DEFAULT_ENGINE)
         #: fresh compilations performed by this VM (lazy path; the
         #: loader's compile cache normally attaches one at load)
         self.compiles = 0

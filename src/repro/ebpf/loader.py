@@ -82,7 +82,6 @@ class BpfSubsystem:
                  limits: Optional[VerifierLimits] = None,
                  use_jit: bool = True,
                  use_load_cache: bool = True,
-                 fast_path: Optional[bool] = None,
                  engine: EngineLike = None) -> None:
         self.kernel = kernel
         self.registry = registry or build_default_registry()
@@ -101,8 +100,7 @@ class BpfSubsystem:
         self._progs: Dict[int, LoadedProgram] = {}
         self._next_fd = 3
         self._next_prog_id = 1
-        self.vm = BpfVm(kernel, self, self.bugs, fast_path=fast_path,
-                        engine=engine)
+        self.vm = BpfVm(kernel, self, self.bugs, engine=engine)
         #: the [22] sysctl: the kernel community's response to
         #: verifier distrust was to disallow unprivileged loading
         #: entirely — on by default since 2021

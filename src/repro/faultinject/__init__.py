@@ -11,7 +11,10 @@ pipeline — all reproducible from a single seed.
 
 ``repro.faultinject.chaos`` (imported explicitly, not re-exported
 here, to avoid a cycle through the attack corpus) replays the attack
-corpus under canned fault schedules and checks isolation invariants.
+corpus under canned fault schedules and checks isolation invariants;
+``repro.faultinject.scenario`` holds what every seeded suite shares
+(``case_seed``, ``CaseResult``/``Report``) for the
+``python -m repro.scenarios`` runner.
 """
 
 from repro.faultinject.plane import (

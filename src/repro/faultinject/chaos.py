@@ -19,13 +19,12 @@ composes.  Three things must hold for every (case × schedule) pair:
    have.
 
 Determinism is part of the contract: the whole replay is a pure
-function of the seed, which ``--check-determinism`` (used by
-``make chaos``) proves by running everything twice and comparing
-fault-trace signatures.
+function of the seed, which the scenario runner proves by running
+everything twice and comparing fault-trace signatures.
 
-``--recover`` (used by ``make recover``) raises the bar from "detect
-the oops" to "survive it": every case runs with the recovery
-supervisor enabled, and afterwards the kernel must still be *alive* —
+The ``recover`` suite raises the bar from "detect the oops" to
+"survive it": every case runs with the recovery supervisor enabled,
+and afterwards the kernel must still be *alive* —
 ``check_alive()`` passes, every oops contained, zero leaked locks /
 pool bytes / RCU imbalance — and per schedule a demonstration drives
 one victim program through the full arc: faults → quarantine
@@ -34,24 +33,20 @@ recovered.  The supervisor's audit trail is folded into the replay
 signature, so the determinism check also proves quarantine decisions
 and backoff timings are a pure function of the seed.
 
-Run it: ``PYTHONPATH=src python -m repro.faultinject.chaos``.
+Run it: ``PYTHONPATH=src python -m repro.scenarios chaos`` (or
+``recover``).
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import sys
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.attacks.corpus import build_corpus, run_case
 from repro.ebpf import Asm, BpfSubsystem, ProgType
 from repro.ebpf.helpers import ids
-from repro.errors import ReproError, VerifierError
+from repro.errors import ReproError
 from repro.faultinject.invariants import (
-    collect_violations,
-    panic_path_consistent,
+    kernel_violations,
     recovery_consistent,
 )
 from repro.faultinject.plane import (
@@ -64,6 +59,13 @@ from repro.faultinject.plane import (
     FaultPlane,
     NthHit,
     Probability,
+)
+from repro.faultinject.scenario import (
+    CaseResult,
+    Report,
+    case_seed,
+    exception_outcome,
+    load_retrying,
 )
 from repro.kernel.kernel import Kernel
 from repro.recovery import HealthState
@@ -203,65 +205,6 @@ FLEET_SCHEDULES: Dict[str, Callable[[FaultPlane], None]] = {
 }
 
 
-def case_seed(seed: int, case_id: str, schedule: str) -> int:
-    """Per-(case, schedule) seed, derived stably from the master seed
-    (``hash()`` is salted per interpreter run, so not that)."""
-    digest = hashlib.sha256(
-        f"{seed}:{case_id}:{schedule}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
-@dataclass
-class CaseResult:
-    """One (case × schedule) replay."""
-
-    case_id: str
-    schedule: str
-    outcome: str
-    faults_injected: int
-    trace_signature: str
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every invariant held for this replay."""
-        return not self.violations
-
-
-@dataclass
-class ChaosReport:
-    """One full corpus replay."""
-
-    seed: int
-    results: List[CaseResult]
-
-    @property
-    def violations(self) -> List[str]:
-        """Every violation across the replay, labeled by case."""
-        return [f"{r.case_id} × {r.schedule}: {v}"
-                for r in self.results for v in r.violations]
-
-    @property
-    def clean(self) -> bool:
-        """True when the whole replay held every invariant."""
-        return not self.violations
-
-    @property
-    def total_faults(self) -> int:
-        """Faults delivered across every case and schedule."""
-        return sum(r.faults_injected for r in self.results)
-
-    def signature(self) -> str:
-        """Digest of every per-case fault trace, for determinism
-        comparisons across whole replays."""
-        digest = hashlib.sha256()
-        for r in self.results:
-            digest.update(
-                f"{r.case_id}:{r.schedule}:{r.outcome}:"
-                f"{r.trace_signature}".encode())
-        return digest.hexdigest()
-
-
 def run_case_under_schedule(case: object, schedule: str, seed: int,
                             recover: bool = False) -> CaseResult:
     """Replay one attack case on a fresh kernel with one canned fault
@@ -275,21 +218,10 @@ def run_case_under_schedule(case: object, schedule: str, seed: int,
     violations: List[str] = []
     try:
         outcome = run_case(case, kernel=kernel).value
-    except ReproError as exc:
-        # a simulated kernel event crossing the boundary is legal;
-        # the invariants below decide whether it was handled cleanly
-        outcome = f"raised:{type(exc).__name__}"
     except Exception as exc:  # noqa: BLE001 — the point of the harness
-        outcome = f"escaped:{type(exc).__name__}"
-        violations.append(
-            "non-kernel exception escaped the sandbox boundary: "
-            f"{type(exc).__name__}: {exc}")
-    violations.extend(collect_violations(kernel))
-    if not panic_path_consistent(kernel):
-        violations.append(
-            "taint/oops mismatch: kernel died outside the official "
-            f"panic path (tainted={kernel.log.tainted}, "
-            f"oopses={len(kernel.log.oopses)})")
+        outcome = exception_outcome(exc, violations,
+                                    "the sandbox boundary")
+    violations.extend(kernel_violations(kernel))
     signature = plane.trace_signature()
     if supervisor is not None:
         try:
@@ -299,11 +231,8 @@ def run_case_under_schedule(case: object, schedule: str, seed: int,
                 f"kernel not alive after supervised replay: {exc}")
         violations.extend(recovery_consistent(kernel))
         signature = f"{signature}:{supervisor.audit_signature()}"
-    return CaseResult(
-        case_id=case.case_id, schedule=schedule, outcome=outcome,
-        faults_injected=len(plane.records),
-        trace_signature=signature,
-        violations=violations)
+    return CaseResult(case.case_id, schedule, outcome, len(plane.records),
+                      signature, violations)
 
 
 def _victim_prog() -> List[object]:
@@ -339,22 +268,12 @@ def demonstrate_recovery(schedule: str, seed: int) -> CaseResult:
     SCHEDULES[schedule](plane)
     violations: List[str] = []
     bpf = BpfSubsystem(kernel)
-    prog = None
-    for _ in range(32):
-        # load-chaos may refuse even retried loads; keep asking
-        try:
-            prog = bpf.load_program(_victim_prog(), ProgType.KPROBE,
-                                    name="victim")
-            break
-        except VerifierError:
-            continue
+    prog = load_retrying(bpf, _victim_prog, ProgType.KPROBE, "victim")
     if prog is None:
         return CaseResult(
-            case_id="recovery-demo", schedule=schedule,
-            outcome="load-refused",
-            faults_injected=len(plane.records),
-            trace_signature=plane.trace_signature(),
-            violations=["recovery demo could not load the victim"])
+            "recovery-demo", schedule, "load-refused",
+            len(plane.records), plane.trace_signature(),
+            ["recovery demo could not load the victim"])
     tag = f"bpf:{prog.name}"
     bpf.attach_trace(prog)  # so quarantine has a hook to detach
     health = supervisor.health(tag)
@@ -393,17 +312,13 @@ def demonstrate_recovery(schedule: str, seed: int) -> CaseResult:
     except ReproError as exc:
         violations.append(
             f"kernel not alive after recovery demo: {exc}")
-    violations.extend(collect_violations(kernel))
+    violations.extend(kernel_violations(kernel))
     violations.extend(recovery_consistent(kernel))
-    if not panic_path_consistent(kernel):
-        violations.append("taint/oops mismatch after recovery demo")
     return CaseResult(
-        case_id="recovery-demo", schedule=schedule,
-        outcome="recovered" if recovered else "stuck",
-        faults_injected=len(plane.records),
-        trace_signature=(f"{plane.trace_signature()}:"
-                         f"{supervisor.audit_signature()}"),
-        violations=violations)
+        "recovery-demo", schedule,
+        "recovered" if recovered else "stuck", len(plane.records),
+        f"{plane.trace_signature()}:{supervisor.audit_signature()}",
+        violations)
 
 
 def run_dataplane_case(schedule: str, seed: int,
@@ -416,7 +331,7 @@ def run_dataplane_case(schedule: str, seed: int,
     as either a delivered ring record or a counted -ENOSPC drop
     (exactness under batched multi-producer pressure), and the
     pipeline's summary/histogram signature is folded into the trace
-    signature so ``--check-determinism`` also proves the data plane
+    signature so the determinism check also proves the data plane
     is a pure function of the seed."""
     # imported here: faultinject must stay importable without the
     # net subsystem (and net imports ebpf, which imports this plane)
@@ -442,25 +357,16 @@ def run_dataplane_case(schedule: str, seed: int,
                 devmap.set_target(slot, sink.ifindex)
             except ReproError:
                 pass        # injected update failure: slot stays gone
-        prog = None
-        for __ in range(32):
-            # load-chaos may refuse even retried loads; keep asking
-            try:
-                prog = bpf.load_program(
-                    xdp_programs.redirect_by_source_prog(
-                        devmap.map_fd),
-                    ProgType.XDP, "chaos_redirect")
-                break
-            except VerifierError:
-                continue
+        prog = load_retrying(
+            bpf, lambda: xdp_programs.redirect_by_source_prog(
+                devmap.map_fd),
+            ProgType.XDP, "chaos_redirect")
         if prog is None:
             return CaseResult(
-                case_id="dataplane", schedule=schedule,
-                outcome="load-refused",
-                faults_injected=len(plane.records),
-                trace_signature=plane.trace_signature(),
-                violations=["dataplane replay could not load the "
-                            "redirect program"])
+                "dataplane", schedule, "load-refused",
+                len(plane.records), plane.trace_signature(),
+                ["dataplane replay could not load the redirect "
+                 "program"])
         data_plane.attach(prog, nic)
         generator = LoadGen(
             kernel, "adversarial",
@@ -473,34 +379,23 @@ def run_dataplane_case(schedule: str, seed: int,
                 f"ringbuf accounting off: {passed} PASS verdicts != "
                 f"{delivered} delivered + "
                 f"{data_plane.delivery_drops} counted drops")
-    except ReproError as exc:
-        outcome = f"raised:{type(exc).__name__}"
     except Exception as exc:  # noqa: BLE001 — the point of the harness
-        outcome = f"escaped:{type(exc).__name__}"
-        violations.append(
-            "non-kernel exception escaped the data plane: "
-            f"{type(exc).__name__}: {exc}")
-    violations.extend(collect_violations(kernel))
-    if not panic_path_consistent(kernel):
-        violations.append("taint/oops mismatch after dataplane replay")
+        outcome = exception_outcome(exc, violations, "the data plane")
+    violations.extend(kernel_violations(kernel))
     return CaseResult(
-        case_id="dataplane", schedule=schedule, outcome=outcome,
-        faults_injected=len(plane.records),
-        trace_signature=(f"{plane.trace_signature()}:"
-                         f"{data_plane.signature()}"),
-        violations=violations)
+        "dataplane", schedule, outcome, len(plane.records),
+        f"{plane.trace_signature()}:{data_plane.signature()}",
+        violations)
 
 
 def run_chaos(seed: int = DEFAULT_SEED,
               schedules: Optional[Sequence[str]] = None,
               case_ids: Optional[Sequence[str]] = None,
-              recover: bool = False) -> ChaosReport:
-    """Replay the full corpus under every requested schedule."""
+              recover: bool = False) -> Report:
+    """Replay the full corpus under every requested schedule; with
+    ``recover``, supervised and with one recovery demo per
+    schedule."""
     names = list(schedules or SCHEDULES)
-    for name in names:
-        if name not in SCHEDULES:
-            raise ValueError(f"unknown chaos schedule {name!r} "
-                             f"(have: {', '.join(SCHEDULES)})")
     cases = build_corpus()
     if case_ids:
         wanted = set(case_ids)
@@ -514,62 +409,4 @@ def run_chaos(seed: int = DEFAULT_SEED,
                                           recover=recover))
         if recover:
             results.append(demonstrate_recovery(name, seed))
-    return ChaosReport(seed=seed, results=results)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point (``make chaos``); returns the exit status."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.faultinject.chaos",
-        description="Replay the attack corpus under fault schedules "
-                    "and check isolation invariants.")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="master seed (default %(default)s)")
-    parser.add_argument("--schedule", action="append", default=None,
-                        choices=sorted(SCHEDULES),
-                        help="schedule to replay (repeatable; "
-                             "default: all)")
-    parser.add_argument("--case", action="append", default=None,
-                        help="restrict to one case id (repeatable)")
-    parser.add_argument("--check-determinism", action="store_true",
-                        help="replay twice and require identical "
-                             "fault traces")
-    parser.add_argument("--recover", action="store_true",
-                        help="run supervised: kernels must stay alive "
-                             "(contained oopses, no taint) and each "
-                             "schedule must demonstrate quarantine + "
-                             "auto-reload")
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="print every case result")
-    args = parser.parse_args(argv)
-
-    report = run_chaos(args.seed, args.schedule, args.case,
-                       recover=args.recover)
-    if args.verbose:
-        for r in report.results:
-            mark = "ok " if r.ok else "BAD"
-            print(f"  {mark} {r.schedule:>14} {r.case_id:<24} "
-                  f"faults={r.faults_injected:<3} {r.outcome}")
-    print(f"chaos: {len(report.results)} replays, "
-          f"{report.total_faults} faults injected, "
-          f"{len(report.violations)} violations "
-          f"(seed {report.seed})")
-    status = 0
-    for violation in report.violations:
-        print(f"chaos: VIOLATION: {violation}")
-        status = 1
-    if args.check_determinism:
-        again = run_chaos(args.seed, args.schedule, args.case,
-                          recover=args.recover)
-        if again.signature() != report.signature():
-            print("chaos: NONDETERMINISM: second replay produced a "
-                  "different fault trace")
-            status = 1
-        else:
-            print("chaos: determinism check passed "
-                  f"(signature {report.signature()[:16]}…)")
-    return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return Report(seed, results)

@@ -1,5 +1,5 @@
 """Interleaving scenarios: planted concurrency bugs and the race-free
-corpus, plus the ``make race`` harness.
+corpus, plus the ``race`` suite.
 
 The fault plane (:mod:`repro.faultinject.plane`) made *failures*
 deterministic; this module does the same for *schedules*.  It carries
@@ -26,23 +26,20 @@ tasks, and returns a fingerprint callable evaluating to the
 **placement-invariant** final state (schedule-dependent intermediate
 values stay out, so the nproc differential can hash it).
 
-Run it: ``python -m repro.faultinject.interleave [--budget N]
-[--seed S] [--smoke]`` (the ``make race`` target); exits nonzero if a
-planted bug goes unfound, a replay seed fails to reproduce, or the
-race-free corpus produces a finding or a signature mismatch.
+Run it: ``python -m repro.scenarios race [--seed S] [--smoke]`` (the
+``make race`` target); exits nonzero if a planted bug goes unfound, a
+replay seed fails to reproduce, or the race-free corpus produces a
+finding or a signature mismatch.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import os
-import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.racehunt import RaceDetector, ScheduleExplorer, replay
 from repro.ebpf.loader import BpfSubsystem
+from repro.faultinject.scenario import CaseResult, Report, json_digest
 from repro.kernel.kernel import Kernel
 from repro.kernel.smp import SeededInterleaving, SmpScheduler
 
@@ -357,47 +354,27 @@ def check_race_free(budget: int, base_seed: int,
     return report
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point: hunt planted bugs, then gate the race-free corpus."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.faultinject.interleave",
-        description="Deterministic race hunt: find the planted "
-                    "concurrency bugs, prove the race-free corpus "
-                    "clean and nproc-invariant.")
-    parser.add_argument("--budget", type=int, default=32,
-                        help="seeded schedules per planted scenario "
-                             "(default 32)")
-    parser.add_argument("--corpus-seeds", type=int, default=4,
-                        help="seeds per race-free scenario (default 4)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base seed (default 0)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI smoke mode: minimal budgets "
-                             "(also via REPRO_RACE_SMOKE=1)")
-    args = parser.parse_args(argv)
-
-    budget = args.budget
-    corpus_seeds = args.corpus_seeds
-    if args.smoke or os.environ.get("REPRO_RACE_SMOKE") == "1":
-        budget = min(budget, 12)
-        corpus_seeds = min(corpus_seeds, 2)
-
-    try:
-        planted = hunt_planted(budget, args.seed)
-        corpus = check_race_free(corpus_seeds, args.seed)
-    except AssertionError as failure:
-        print(json.dumps({"ok": False, "error": str(failure)},
-                         indent=2))
-        return 1
-    print(json.dumps({
-        "ok": True,
-        "budget": budget,
-        "base_seed": args.seed,
-        "planted": planted,
-        "race_free": corpus,
-    }, indent=2))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def run_race(seed: int = 0, budget: int = 32,
+             corpus_seeds: int = 4) -> Report:
+    """The ``race`` suite: hunt the planted bugs with ``budget``
+    seeded schedules each, then gate the race-free corpus over
+    ``corpus_seeds`` seeds.  A failed gate is a violation; each
+    scenario's report entry rides in its result's ``detail``."""
+    gates = (
+        ("planted", lambda: hunt_planted(budget, seed), "found"),
+        ("race-free", lambda: check_race_free(corpus_seeds, seed),
+         "clean"),
+    )
+    results: List[CaseResult] = []
+    for variant, gate, outcome in gates:
+        try:
+            entries = gate()
+        except AssertionError as failure:
+            results.append(CaseResult("gate", variant, "failed",
+                                      violations=[str(failure)]))
+            continue
+        results.extend(
+            CaseResult(name, variant, outcome,
+                       signature=json_digest(entry), detail=entry)
+            for name, entry in entries.items())
+    return Report(seed, results)

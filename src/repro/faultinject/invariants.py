@@ -114,6 +114,19 @@ def panic_path_consistent(kernel: object) -> bool:
     return log.tainted == expected
 
 
+def kernel_violations(kernel: object) -> List[str]:
+    """:func:`collect_violations` plus the official-panic-path check:
+    the one contract scenario suites and the pytest leak check hold
+    every kernel to after a run."""
+    violations = collect_violations(kernel)
+    if not panic_path_consistent(kernel):
+        violations.append(
+            "taint/oops mismatch: kernel died outside the official "
+            f"panic path (tainted={kernel.log.tainted}, "
+            f"oopses={len(kernel.log.oopses)})")
+    return violations
+
+
 def recovery_consistent(kernel: object) -> List[str]:
     """Cross-checks between the supervisor's audit trail and the
     kernel's own records; empty list = consistent.  Trivially

@@ -1,12 +1,12 @@
 """Fleet under fire: rollouts over an unreliable control channel.
 
 ``make fleet`` proves the control plane works when the network does.
-This harness replays the canonical scenario while the *channel*
+This suite replays the canonical scenario while the *channel*
 misbehaves: every schedule in
 :data:`~repro.faultinject.chaos.FLEET_SCHEDULES` arms the transport's
 fault plane — drops, duplicates, delays past the RPC deadline,
 partitions, crashing node agents — and both the good and the planted
-bad release are rolled out under it.  For every replay the harness
+bad release are rolled out under it.  For every replay the suite
 checks:
 
 1. **Outcome sanity** — the bad release never completes: either its
@@ -25,95 +25,37 @@ checks:
    (repeatedly, if the crash schedule keeps firing), and the finished
    report's signature must be **bit-identical** to the uninterrupted
    run's.
-5. **Determinism** — ``--check-determinism`` replays the whole
-   harness twice and compares report signatures (``make fleet-chaos``
-   does this by default).
+5. **Determinism** — the scenario runner replays the whole suite
+   twice and compares report signatures.
 
-``REPRO_FLEET_SMOKE=1`` (CI) shrinks the fleet and the schedule list.
-
-Run it: ``PYTHONPATH=src python -m repro.fleet.chaos``.
+Run it: ``PYTHONPATH=src python -m repro.scenarios fleet-chaos``
+(``--smoke`` is CI's smaller fleet and schedule list).
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import os
-import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.faultinject.chaos import FLEET_SCHEDULES, case_seed
-from repro.faultinject.invariants import (
-    collect_violations,
-    panic_path_consistent,
-)
+from repro.faultinject.chaos import FLEET_SCHEDULES
+from repro.faultinject.invariants import kernel_violations
 from repro.faultinject.plane import FaultAction, NthHit
+from repro.faultinject.scenario import (
+    CaseResult,
+    Report,
+    case_seed,
+    exception_outcome,
+)
 from repro.fleet.adapters.sim import FleetScenario, build_scenario
 from repro.fleet.journal import MemoryJournal, OrchestratorCrash
 
 DEFAULT_SEED = 20230622  # HotOS'23
 DEFAULT_SIZE = 24
-SMOKE_SIZE = 10
-#: the schedules the CI smoke run keeps (cheapest + the kitchen sink)
-SMOKE_SCHEDULES = ("rpc-drops", "fleet-pressure")
 #: journal-append ordinals the crash leg kills the orchestrator at
 #: (a recurring schedule: the *resumed* orchestrator crashes again
 #: every CRASH_EVERY live appends until the rollout finally lands)
 CRASH_EVERY = 23
 #: safety valve for the resume loop — far above any real replay
 MAX_RESUMES = 200
-
-
-@dataclass
-class FleetCaseResult:
-    """One (schedule × release) rollout under fire."""
-
-    schedule: str
-    release: str
-    outcome: str
-    signature: str
-    rpc_retries: int
-    rpc_unreachable: int
-    stuck: int
-    unreachable: int
-    resumes: int = 0
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every invariant held for this replay."""
-        return not self.violations
-
-
-@dataclass
-class FleetChaosReport:
-    """One full fleet-under-fire replay."""
-
-    seed: int
-    size: int
-    results: List[FleetCaseResult]
-
-    @property
-    def violations(self) -> List[str]:
-        """Every violation, labeled by schedule and release."""
-        return [f"{r.schedule} × {r.release}: {v}"
-                for r in self.results for v in r.violations]
-
-    @property
-    def clean(self) -> bool:
-        """True when the whole replay held every invariant."""
-        return not self.violations
-
-    def signature(self) -> str:
-        """Digest over every rollout signature — the determinism
-        pin for whole-harness comparisons."""
-        digest = hashlib.sha256()
-        for r in self.results:
-            digest.update(
-                f"{r.schedule}:{r.release}:{r.outcome}:"
-                f"{r.signature}:{r.resumes}".encode())
-        return digest.hexdigest()
 
 
 def _check_fleet(scenario: FleetScenario, report: object,
@@ -136,19 +78,35 @@ def _check_fleet(scenario: FleetScenario, report: object,
                 violations.append(
                     f"stuck node {node.node_id} was not parked "
                     f"(census={node.census()})")
-        for problem in collect_violations(node.kernel):
-            violations.append(f"{node.node_id}: {problem}")
-        if not panic_path_consistent(node.kernel):
-            violations.append(
-                f"{node.node_id}: taint/oops mismatch")
+        violations.extend(f"{node.node_id}: {problem}"
+                          for problem in kernel_violations(node.kernel))
     if bad_release and report.outcome == "completed":
         violations.append(
             "the planted bad release completed a full rollout")
     return violations
 
 
+def _result(schedule: str, release: str, outcome: str,
+            scenario: FleetScenario, report: Optional[object],
+            resumes: int, violations: List[str]) -> CaseResult:
+    """One rollout's row: its signature with the resume count folded
+    in, the channel faults it was dealt and its RPC accounting."""
+    faults = len(scenario.transport.plane.records)
+    if report is None:
+        return CaseResult(schedule, release, outcome, faults,
+                          f":{resumes}", violations)
+    return CaseResult(
+        schedule, release, outcome, faults,
+        f"{report.signature()}:{resumes}", violations,
+        {"rpc_retries": report.rpc_retries,
+         "rpc_unreachable": report.rpc_unreachable,
+         "stuck": len(report.stuck_nodes),
+         "unreachable": len(report.unreachable_nodes),
+         "resumes": resumes})
+
+
 def run_fleet_case(schedule: str, release: str, seed: int,
-                   size: int) -> FleetCaseResult:
+                   size: int) -> CaseResult:
     """One rollout of ``release`` under one channel schedule."""
     scenario = build_scenario(size, seed=seed)
     FLEET_SCHEDULES[schedule](scenario.transport.plane)
@@ -159,32 +117,23 @@ def run_fleet_case(schedule: str, release: str, seed: int,
         report = scenario.orchestrator.rollout(
             target.release_id, seed=seed)
     except Exception as exc:  # noqa: BLE001 — the point of the harness
-        return FleetCaseResult(
-            schedule=schedule, release=release,
-            outcome=f"escaped:{type(exc).__name__}", signature="",
-            rpc_retries=0, rpc_unreachable=0, stuck=0, unreachable=0,
-            violations=[
-                "exception escaped the rollout under channel chaos: "
-                f"{type(exc).__name__}: {exc}"])
+        outcome = exception_outcome(
+            exc, violations, "the rollout under channel chaos",
+            legal=())
+        return _result(schedule, release, outcome, scenario, None, 0,
+                       violations)
     violations.extend(
         _check_fleet(scenario, report, bad_release=(release == "bad")))
-    return FleetCaseResult(
-        schedule=schedule, release=release, outcome=report.outcome,
-        signature=report.signature(),
-        rpc_retries=report.rpc_retries,
-        rpc_unreachable=report.rpc_unreachable,
-        stuck=len(report.stuck_nodes),
-        unreachable=len(report.unreachable_nodes),
-        violations=violations)
+    return _result(schedule, release, report.outcome, scenario, report,
+                   0, violations)
 
 
 def run_crash_resume_case(schedule: str, release: str, seed: int,
-                          size: int) -> FleetCaseResult:
-    """The durability leg: same rollout, but the orchestrator is
-    killed every :data:`CRASH_EVERY` journal appends and resumed from
-    the journal until it lands — the finished signature must be
-    bit-identical to the uninterrupted run's."""
-    baseline = run_fleet_case(schedule, release, seed, size)
+                          size: int, baseline: CaseResult) -> CaseResult:
+    """The durability leg: the rollout ``baseline`` ran uninterrupted,
+    but the orchestrator is killed every :data:`CRASH_EVERY` journal
+    appends and resumed from the journal until it lands — the
+    finished signature must be bit-identical to the baseline's."""
     scenario = build_scenario(size, seed=seed)
     FLEET_SCHEDULES[schedule](scenario.transport.plane)
     scenario.transport.plane.arm(
@@ -193,7 +142,7 @@ def run_crash_resume_case(schedule: str, release: str, seed: int,
     target = (scenario.bad if release == "bad"
               else scenario.good)
     journal = MemoryJournal()
-    violations: List[str] = list(baseline.violations)
+    violations: List[str] = []
     report = None
     resumes = 0
     try:
@@ -210,14 +159,10 @@ def run_crash_resume_case(schedule: str, release: str, seed: int,
                     raise RuntimeError(
                         "crash/resume loop never converged")
     except Exception as exc:  # noqa: BLE001 — the point of the harness
-        return FleetCaseResult(
-            schedule=schedule, release=release,
-            outcome=f"escaped:{type(exc).__name__}", signature="",
-            rpc_retries=0, rpc_unreachable=0, stuck=0, unreachable=0,
-            resumes=resumes,
-            violations=violations + [
-                "exception escaped the crash/resume leg: "
-                f"{type(exc).__name__}: {exc}"])
+        outcome = exception_outcome(
+            exc, violations, "the crash/resume leg", legal=())
+        return _result(schedule, release, outcome, scenario, None,
+                       resumes, violations)
     if resumes == 0:
         violations.append(
             "crash leg never crashed — fleet.orch.crash is dead "
@@ -226,96 +171,28 @@ def run_crash_resume_case(schedule: str, release: str, seed: int,
         violations.append(
             "resumed rollout finished but its journal is not "
             "complete")
-    if report.signature() != baseline.signature:
+    # the baseline's signature carries its zero resumes
+    if f"{report.signature()}:0" != baseline.signature:
         violations.append(
             f"resumed signature {report.signature()[:16]} != "
             f"uninterrupted {baseline.signature[:16]} — the journal "
             "replay diverged")
-    return FleetCaseResult(
-        schedule=schedule, release=release,
-        outcome=f"{report.outcome}+resumed", signature=baseline.signature,
-        rpc_retries=report.rpc_retries,
-        rpc_unreachable=report.rpc_unreachable,
-        stuck=len(report.stuck_nodes),
-        unreachable=len(report.unreachable_nodes),
-        resumes=resumes, violations=violations)
+    return _result(schedule, release, f"{report.outcome}+resumed",
+                   scenario, report, resumes, violations)
 
 
 def run_fleet_chaos(seed: int = DEFAULT_SEED,
                     size: int = DEFAULT_SIZE,
-                    schedules: Optional[Sequence[str]] = None,
-                    ) -> FleetChaosReport:
+                    schedules: Optional[Sequence[str]] = None) -> Report:
     """Replay both releases under every requested channel schedule,
     plus the crash/resume leg per pair."""
-    names = list(schedules or FLEET_SCHEDULES)
-    for name in names:
-        if name not in FLEET_SCHEDULES:
-            raise ValueError(
-                f"unknown fleet schedule {name!r} "
-                f"(have: {', '.join(FLEET_SCHEDULES)})")
-    results: List[FleetCaseResult] = []
-    for name in names:
+    results: List[CaseResult] = []
+    for name in schedules or FLEET_SCHEDULES:
         for release in ("good", "bad"):
             rollout_seed = case_seed(seed, f"fleet-{release}", name)
-            results.append(run_fleet_case(
-                name, release, rollout_seed, size))
+            uninterrupted = run_fleet_case(
+                name, release, rollout_seed, size)
+            results.append(uninterrupted)
             results.append(run_crash_resume_case(
-                name, release, rollout_seed, size))
-    return FleetChaosReport(seed=seed, size=size, results=results)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point (``make fleet-chaos``); returns exit status."""
-    smoke = os.environ.get("REPRO_FLEET_SMOKE") == "1"
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.fleet.chaos",
-        description="Roll releases out over an unreliable control "
-                    "channel and check the fleet invariants.")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="master seed (default %(default)s)")
-    parser.add_argument("--size", type=int,
-                        default=SMOKE_SIZE if smoke else DEFAULT_SIZE,
-                        help="fleet size per rollout "
-                             "(default %(default)s)")
-    parser.add_argument("--schedule", action="append", default=None,
-                        choices=sorted(FLEET_SCHEDULES),
-                        help="channel schedule to replay "
-                             "(repeatable; default: all)")
-    parser.add_argument("--check-determinism", action="store_true",
-                        help="replay twice and require identical "
-                             "report signatures")
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="print every replay result")
-    args = parser.parse_args(argv)
-    schedules = args.schedule or (
-        list(SMOKE_SCHEDULES) if smoke else None)
-
-    report = run_fleet_chaos(args.seed, args.size, schedules)
-    if args.verbose:
-        for r in report.results:
-            mark = "ok " if r.ok else "BAD"
-            print(f"  {mark} {r.schedule:>14} {r.release:<4} "
-                  f"{r.outcome:<22} retries={r.rpc_retries:<3} "
-                  f"unreachable={r.unreachable} stuck={r.stuck} "
-                  f"resumes={r.resumes}")
-    print(f"fleet-chaos: {len(report.results)} rollouts over "
-          f"{report.size} nodes, {len(report.violations)} violations "
-          f"(seed {report.seed})")
-    status = 0
-    for violation in report.violations:
-        print(f"fleet-chaos: VIOLATION: {violation}")
-        status = 1
-    if args.check_determinism:
-        again = run_fleet_chaos(args.seed, args.size, schedules)
-        if again.signature() != report.signature():
-            print("fleet-chaos: NONDETERMINISM: second replay "
-                  "produced different rollout signatures")
-            status = 1
-        else:
-            print("fleet-chaos: determinism check passed "
-                  f"(signature {report.signature()[:16]}…)")
-    return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+                name, release, rollout_seed, size, uninterrupted))
+    return Report(seed, results)

@@ -1,134 +1,72 @@
-"""The fleet acceptance demo: ``python -m repro.fleet.demo``.
+"""The fleet acceptance suite: ``python -m repro.scenarios fleet``.
 
-Runs the canonical scenario twice over the same fleet size and seed —
-the good release must converge to 100% of the fleet, the planted bad
-release must fail its canary wave and be fully rolled back — and then
-asserts the two invocations were *bit-identical*: same rollout-log
-signatures, same fleet telemetry export.  ``make fleet`` runs this
-small; the acceptance configuration is the default 200 nodes.
-
-Exit code 0 means every check held; any broken invariant (bad release
-escaping its canary wave, a node left on the bad release, divergent
-signatures) exits 1 with the failing check named.
+Runs the canonical scenario over one fleet size and seed — the good
+release must converge to 100% of the fleet, the planted bad release
+must fail its canary wave and be fully rolled back.  The report holds
+one row per release, carrying its rollout-log signature, plus a digest
+of the fleet telemetry export, so the runner's double run proves the
+rollouts *and* the export bit-identical.  The acceptance
+configuration is the default 200 nodes.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
+from repro.faultinject.scenario import CaseResult, Report, json_digest
 from repro.fleet.adapters.sim import build_scenario
 
 
-def run_scenario(nodes: int, seed: int,
-                 engine: Optional[str] = None) -> Dict[str, object]:
-    """One full scenario pass: good rollout, bad rollout, exports.
-    Returns a JSON-able result document (the determinism unit)."""
-    scenario = build_scenario(size=nodes, seed=seed, engine=engine)
+def run_fleet(seed: int = 7, nodes: int = 200) -> Report:
+    """One full scenario pass: good rollout, bad rollout, export."""
+    scenario = build_scenario(size=nodes, seed=seed)
     good = scenario.orchestrator.rollout(
         scenario.good.release_id, seed=seed)
     bad = scenario.orchestrator.rollout(
         scenario.bad.release_id, seed=seed)
+    variant = f"{nodes}-nodes"
+
+    good_failures: List[str] = []
+    if good.outcome != "completed":
+        good_failures.append(
+            f"good release did not complete: {good.outcome}")
+    if good.converged_nodes != nodes:
+        good_failures.append(
+            f"good release reached {good.converged_nodes}/{nodes} "
+            "nodes")
+
+    bad_failures: List[str] = []
+    if bad.outcome != "rolled-back":
+        bad_failures.append(
+            f"bad release was not rolled back: {bad.outcome}")
+    if len(bad.verdicts) != 1:
+        bad_failures.append(
+            f"bad release survived past its canary wave "
+            f"({len(bad.verdicts)} waves ran)")
     on_bad = sum(
         1 for node_id in scenario.fleet.node_ids()
         if scenario.fleet.current_release(node_id)
         == scenario.bad.release_id)
-    return {
-        "nodes": nodes,
-        "seed": seed,
-        "good": good.as_dict(),
-        "bad": bad.as_dict(),
-        "nodes_on_bad_release": on_bad,
-        "telemetry": scenario.telemetry.snapshot(),
-        "prometheus": scenario.telemetry.to_prometheus(),
-    }
+    if on_bad:
+        bad_failures.append(
+            f"{on_bad} nodes still run the bad release after rollback")
+    if bad.final_census.get("healthy", 0) != nodes:
+        bad_failures.append(
+            f"fleet not fully healthy after rollback: "
+            f"{bad.final_census}")
 
-
-def check_result(result: Dict[str, object]) -> List[str]:
-    """The demo's invariants; returns failure strings (empty = pass)."""
-    failures: List[str] = []
-    good, bad = result["good"], result["bad"]
-    if good["outcome"] != "completed":
-        failures.append(
-            f"good release did not complete: {good['outcome']}")
-    if good["converged_nodes"] != result["nodes"]:
-        failures.append(
-            f"good release reached {good['converged_nodes']}"
-            f"/{result['nodes']} nodes")
-    if bad["outcome"] != "rolled-back":
-        failures.append(
-            f"bad release was not rolled back: {bad['outcome']}")
-    if bad["waves"] != 1:
-        failures.append(
-            f"bad release survived past its canary wave "
-            f"({bad['waves']} waves ran)")
-    if result["nodes_on_bad_release"] != 0:
-        failures.append(
-            f"{result['nodes_on_bad_release']} nodes still run the "
-            "bad release after rollback")
-    census = bad["final_census"]
-    if census.get("healthy", 0) != result["nodes"]:
-        failures.append(
-            f"fleet not fully healthy after rollback: {census}")
-    if not result["telemetry"]["waves"]:
-        failures.append("telemetry export captured no wave censuses")
-    return failures
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Demo entry point (see module docstring)."""
-    parser = argparse.ArgumentParser(
-        prog="repro.fleet.demo",
-        description="staged-rollout acceptance demo")
-    parser.add_argument("--nodes", type=int, default=200,
-                        help="fleet size (default 200)")
-    parser.add_argument("--seed", type=int, default=7,
-                        help="rollout seed (default 7)")
-    parser.add_argument("--engine", default=None,
-                        help="execution tier for every node")
-    parser.add_argument("--json-out", metavar="PATH", default=None,
-                        help="write the first pass's result document "
-                             "to PATH")
-    args = parser.parse_args(argv)
-
-    first = run_scenario(args.nodes, args.seed, engine=args.engine)
-    second = run_scenario(args.nodes, args.seed, engine=args.engine)
-
-    failures = check_result(first)
-    pairs: Tuple[Tuple[str, str, str], ...] = (
-        ("good", "signature", "good rollout signature"),
-        ("bad", "signature", "bad rollout signature"),
-    )
-    for section, key, label in pairs:
-        if first[section][key] != second[section][key]:
-            failures.append(f"{label} diverged between invocations")
-    if first["telemetry"] != second["telemetry"]:
-        failures.append("telemetry export diverged between "
-                        "invocations")
-
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(first, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    print(f"fleet demo: {args.nodes} nodes seed={args.seed}")
-    print(f"  good  {first['good']['outcome']:12s} "
-          f"converged={first['good']['converged_nodes']} "
-          f"sig={first['good']['signature'][:16]}")
-    print(f"  bad   {first['bad']['outcome']:12s} "
-          f"waves={first['bad']['waves']} "
-          f"census={first['bad']['final_census']} "
-          f"sig={first['bad']['signature'][:16]}")
-    print(f"  events {first['telemetry']['events']}")
-    if failures:
-        for failure in failures:
-            print(f"  FAIL: {failure}")
-        return 1
-    print("  determinism: two invocations bit-identical")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    snapshot = scenario.telemetry.snapshot()
+    export_failures = ([] if snapshot["waves"] else
+                       ["telemetry export captured no wave censuses"])
+    return Report(seed, [
+        CaseResult("good", variant, good.outcome,
+                   signature=good.signature(),
+                   violations=good_failures, detail=good.summary()),
+        CaseResult("bad", variant, bad.outcome,
+                   signature=bad.signature(),
+                   violations=bad_failures, detail=bad.summary()),
+        CaseResult("telemetry", variant, "exported",
+                   signature=json_digest(snapshot),
+                   violations=export_failures,
+                   detail={"events": snapshot["events"]}),
+    ])

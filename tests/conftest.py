@@ -13,10 +13,7 @@ teardown-order tests) opt out with ``@pytest.mark.dirty_kernel``.
 
 import pytest
 
-from repro.faultinject.invariants import (
-    collect_violations,
-    panic_path_consistent,
-)
+from repro.faultinject.invariants import kernel_violations
 
 
 def pytest_configure(config):
@@ -29,11 +26,7 @@ def pytest_configure(config):
 def assert_kernel_isolated(kernel):
     """Fail the calling test if the kernel's transient extension
     state is unbalanced or it died outside the official panic path."""
-    violations = collect_violations(kernel)
-    if not panic_path_consistent(kernel):
-        violations.append(
-            f"taint/oops mismatch (tainted={kernel.log.tainted}, "
-            f"oopses={len(kernel.log.oopses)})")
+    violations = kernel_violations(kernel)
     assert not violations, \
         "kernel isolation violated:\n" + "\n".join(violations)
 

@@ -117,9 +117,8 @@ class TestAtomicSubOps:
                    .program())
         assert run_value(bpf, program) == 707
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_unknown_sub_op_raises_at_runtime(self, kernel,
-                                              fast_path):
+    @pytest.mark.parametrize("engine", ["fast", "interp"])
+    def test_unknown_sub_op_raises_at_runtime(self, kernel, engine):
         """An unverified atomic with a junk sub-op must raise, not
         silently execute as XADD — on both engines."""
         from repro.ebpf.interpreter import BpfVm
@@ -127,7 +126,7 @@ class TestAtomicSubOps:
         from repro.ebpf.verifier.analyzer import VerifierStats
 
         bpf = BpfSubsystem(kernel)
-        vm = BpfVm(kernel, bpf, fast_path=fast_path)
+        vm = BpfVm(kernel, bpf, engine=engine)
         insns = (Asm()
                  .st_imm(8, R10, -8, 0)
                  .mov64_imm(R2, 1)

@@ -42,11 +42,12 @@ def test_invariants_hold_under_schedule(schedule):
 def test_replay_is_pure_function_of_seed():
     one = run_chaos(seed=77, case_ids=FAST_CASES)
     two = run_chaos(seed=77, case_ids=FAST_CASES)
-    assert one.signature() == two.signature()
+    assert one.signature() == two.signature() == (
+        "895e8e89c528976882ff2636a96e332a35f6acc3791b67b43206c36296872936")
 
     def rows(report):
-        return [(r.case_id, r.schedule, r.outcome, r.faults_injected,
-                 r.trace_signature) for r in report.results]
+        return [(r.case, r.variant, r.outcome, r.faults, r.signature)
+                for r in report.results]
     assert rows(one) == rows(two)
 
 
@@ -69,8 +70,10 @@ def test_chaos_actually_injects_faults():
     assert not report.violations
 
 
-def test_cli_exit_status():
-    from repro.faultinject.chaos import main
-    assert main(["--case", "ebpf-probe-read",
-                 "--schedule", "helper-errno",
-                 "--check-determinism"]) == 0
+def test_cli_exit_status(monkeypatch):
+    from repro import scenarios
+    module, entry, table, __, smoke = scenarios.SUITES["chaos"]
+    monkeypatch.setitem(
+        scenarios.SUITES, "chaos",
+        (module, entry, table, {"case_ids": ["ebpf-probe-read"]}, smoke))
+    assert scenarios.main(["chaos", "--schedule", "helper-errno"]) == 0

@@ -46,7 +46,7 @@ def test_recovery_demo_is_deterministic():
     two = demonstrate_recovery("helper-errno", seed=77)
     # the trace signature folds in the supervisor audit signature, so
     # equality means identical faults, decisions, and backoff timings
-    assert one.trace_signature == two.trace_signature
+    assert one.signature == two.signature
     assert one.outcome == two.outcome
 
 
@@ -60,11 +60,12 @@ def test_supervised_chaos_is_pure_function_of_seed():
     one = run_chaos(seed=77, case_ids=FAST_CASES, recover=True)
     two = run_chaos(seed=77, case_ids=FAST_CASES, recover=True)
     assert one.clean, "; ".join(one.violations)
-    assert one.signature() == two.signature()
+    assert one.signature() == two.signature() == (
+        "01a97f3beae36939d6fb36a2da294426365b7b7b87c67b93f8a464f2583f4d40")
 
     def rows(report):
-        return [(r.case_id, r.schedule, r.outcome, r.faults_injected,
-                 r.trace_signature) for r in report.results]
+        return [(r.case, r.variant, r.outcome, r.faults, r.signature)
+                for r in report.results]
     assert rows(one) == rows(two)
 
 
