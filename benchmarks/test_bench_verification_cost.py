@@ -1,11 +1,17 @@
 """§2.1 cost bench: verifier scaling (with the pruning ablation) vs
 signature-validation scaling."""
 
+import statistics
+import time
+
 import pytest
 
 from conftest import run_once
 
-from repro.ebpf import BpfSubsystem, ProgType
+from repro.ebpf import Asm, BpfSubsystem, ProgType
+from repro.ebpf.helpers.registry import build_default_registry
+from repro.ebpf.isa import R0
+from repro.ebpf.verifier.analyzer import Verifier
 from repro.ebpf.verifier.limits import VerifierLimits
 from repro.experiments import exp_verification_cost
 from repro.kernel import Kernel
@@ -73,3 +79,43 @@ def test_bench_signature_validation(benchmark):
 
     loaded = benchmark(framework.load, ext)
     assert loaded.program.function("prog") is not None
+
+
+def _counted_loop(iterations: int) -> list:
+    """A loop the verifier walks iteration by iteration: it processes
+    ``2 * iterations + 2`` instructions."""
+    return (Asm().ld_imm64(R0, iterations).label("top")
+            .alu64_imm("sub", R0, 1)
+            .jmp_imm("jne", R0, 0, "top")
+            .exit_().program())
+
+
+def _seconds_per_insn(program: list, registry) -> float:
+    verifier = Verifier(program, ProgType.KPROBE, registry, {})
+    start = time.perf_counter()
+    stats = verifier.verify()
+    return (time.perf_counter() - start) / stats.insns_processed
+
+
+def test_verify_cost_per_insn_flat_on_counted_loop():
+    """Verifier wall time per processed instruction must not grow
+    with the walk: the ~128k-instruction walk of a counted loop may
+    cost at most 1.5x per instruction what the ~4k walk costs (the
+    median of interleaved pairs; the target is 1.25x).  Runs under
+    plain pytest: it takes no ``benchmark`` fixture."""
+    registry = build_default_registry()
+    short, long = _counted_loop(2_000), _counted_loop(64_000)
+    ratios, short_times, long_times = [], [], []
+    for __ in range(5):
+        short_time = _seconds_per_insn(short, registry)
+        long_time = _seconds_per_insn(long, registry)
+        short_times.append(short_time)
+        long_times.append(long_time)
+        ratios.append(long_time / short_time)
+    ratio = statistics.median(ratios)
+    print(f"\ncounted loop: "
+          f"{statistics.median(short_times) * 1e6:.1f} us/insn at 4k, "
+          f"{statistics.median(long_times) * 1e6:.1f} us/insn at 128k, "
+          f"median ratio {ratio:.2f} (pairs: "
+          + ", ".join(f"{r:.2f}" for r in ratios) + ")")
+    assert ratio <= 1.5

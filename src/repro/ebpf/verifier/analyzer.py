@@ -10,6 +10,7 @@ whatever happens inside helper functions (§2.2).
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -45,6 +46,69 @@ class VerifierInternalFault(Exception):
     """The verifier *itself* crashed — models the use-after-free in the
     loop-inlining code [54].  The loader converts this into a kernel
     oops attributed to the verifier."""
+
+
+#: (dst type, src type) of a packet bounds check -> operand order
+_PKT_ORIENT = {
+    (RegType.PTR_TO_PACKET, RegType.PTR_TO_PACKET_END): "direct",
+    (RegType.PTR_TO_PACKET_END, RegType.PTR_TO_PACKET): "flipped",
+}
+
+#: jump op -> (compares signed?, comparison) on two known values
+_CONCRETE_JUMPS = {
+    "jeq": (False, operator.eq), "jne": (False, operator.ne),
+    "jgt": (False, operator.gt), "jge": (False, operator.ge),
+    "jlt": (False, operator.lt), "jle": (False, operator.le),
+    "jset": (False, lambda dst, src: bool(dst & src)),
+    "jsgt": (True, operator.gt), "jsge": (True, operator.ge),
+    "jslt": (True, operator.lt), "jsle": (True, operator.le),
+}
+
+
+def _consts_equal(dst: RegState, src: RegState) -> bool:
+    return dst.is_const and src.is_const \
+        and dst.const_value == src.const_value
+
+
+def _ranges_disjoint(dst: RegState, src: RegState) -> bool:
+    return dst.umin > src.umax or dst.umax < src.umin
+
+
+#: jump op -> (always taken?, never taken?) tests on two scalars
+_BRANCH_DECIDERS = {
+    "jeq": (_consts_equal, _ranges_disjoint),
+    "jne": (_ranges_disjoint, _consts_equal),
+    "jgt": (lambda dst, src: dst.umin > src.umax,
+            lambda dst, src: dst.umax <= src.umin),
+    "jge": (lambda dst, src: dst.umin >= src.umax,
+            lambda dst, src: dst.umax < src.umin),
+    "jlt": (lambda dst, src: dst.umax < src.umin,
+            lambda dst, src: dst.umin >= src.umax),
+    "jle": (lambda dst, src: dst.umax <= src.umin,
+            lambda dst, src: dst.umin > src.umax),
+    "jsgt": (lambda dst, src: dst.smin > src.smax,
+             lambda dst, src: dst.smax <= src.smin),
+    "jsge": (lambda dst, src: dst.smin >= src.smax,
+             lambda dst, src: dst.smax < src.smin),
+    "jslt": (lambda dst, src: dst.smax < src.smin,
+             lambda dst, src: dst.smin >= src.smax),
+    "jsle": (lambda dst, src: dst.smax <= src.smin,
+             lambda dst, src: dst.smin > src.smax),
+}
+
+#: (jump op, branch taken?) -> the relation that holds on that side
+_EFFECTIVE_RELATION = {
+    ("jeq", True): "eq", ("jeq", False): "ne",
+    ("jne", True): "ne", ("jne", False): "eq",
+    ("jgt", True): "gt", ("jgt", False): "le",
+    ("jge", True): "ge", ("jge", False): "lt",
+    ("jlt", True): "lt", ("jlt", False): "ge",
+    ("jle", True): "le", ("jle", False): "gt",
+    ("jsgt", True): "sgt", ("jsgt", False): "sle",
+    ("jsge", True): "sge", ("jsge", False): "slt",
+    ("jslt", True): "slt", ("jslt", False): "sge",
+    ("jsle", True): "sle", ("jsle", False): "sgt",
+}
 
 
 @dataclass
@@ -86,27 +150,57 @@ class _WalkRecord:
     whose loop-exit side was never proven, and the verifier accepts a
     program that spins forever at run time."""
 
-    __slots__ = ("parent", "parent_pos", "open_branches", "done",
-                 "trace", "inflight", "seq")
+    __slots__ = ("parent", "open_branches", "done", "trace",
+                 "snapshots")
 
-    def __init__(self, parent: Optional["_WalkRecord"],
-                 parent_pos: int = 0) -> None:
+    def __init__(self, parent: Optional["_WalkRecord"]) -> None:
         self.parent = parent
-        #: how many checkpoints the parent had taken when it forked
-        #: this walk — only those precede this walk on the execution
-        #: path (later parent checkpoints belong to the fall path, and
-        #: matching one of them is path convergence, not a cycle)
-        self.parent_pos = parent_pos
         #: forked branches not yet fully explored (subtree-complete)
         self.open_branches = 0
         self.done = False
-        #: checkpoints awaiting commit: (insn_idx, state snapshot)
+        #: checkpoints awaiting commit: (insn_idx, state snapshot);
+        #: a snapshot is immutable once taken
         self.trace: List[Tuple[int, VerifierState]] = []
-        #: checkpoint (position, state key) per insn, for loop
-        #: detection across this walk and its descendants
-        self.inflight: Dict[int, List[Tuple[int, tuple]]] = {}
-        #: checkpoints taken so far (positions the entries above use)
-        self.seq = 0
+        #: snapshots in ``trace`` per insn
+        self.snapshots: Dict[int, int] = {}
+
+
+class _CheckpointPath:
+    """The (insn, state key) of every checkpoint on the execution path
+    being walked, for loop detection.
+
+    ``pending`` is a stack, so walks run depth first and the path is a
+    stack too.  A walk forked when the path was ``depth`` entries long
+    starts by cutting the path back to ``depth``: the walks run since
+    the fork all descend from later points of that same path, so they
+    only ever cut it back to ``depth`` or beyond, and its first
+    ``depth`` entries are still the forked walk's history.  Later
+    checkpoints of the parent belong to the fall path; matching one of
+    them is path convergence, not a cycle.  An entry is on the path at
+    most once, since a repeat is rejected as a loop."""
+
+    __slots__ = ("entries", "members")
+
+    def __init__(self) -> None:
+        self.entries: List[Tuple[int, tuple]] = []
+        self.members: Set[Tuple[int, tuple]] = set()
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __contains__(self, entry: Tuple[int, tuple]) -> bool:
+        return entry in self.members
+
+    def cut(self, depth: int) -> None:
+        """Drop the entries past ``depth``."""
+        entries, members = self.entries, self.members
+        while len(entries) > depth:
+            members.remove(entries.pop())
+
+    def push(self, entry: Tuple[int, tuple]) -> None:
+        """Append a checkpoint that is not on the path yet."""
+        self.entries.append(entry)
+        self.members.add(entry)
 
 
 class Verifier:
@@ -125,6 +219,12 @@ class Verifier:
         self.stats = VerifierStats()
         self._jump_targets: Set[int] = set()
         self._ld64_second_slots: Set[int] = set()
+        #: set by the structural pass when a jump, pseudo-call or
+        #: callback reference points backward.  Without one, pc only
+        #: grows within a frame and each frame's key carries its
+        #: callsite, so no path can revisit an (insn, state) pair and
+        #: the walk builds no cycle keys.
+        self._may_cycle = False
         self._loop_inline_count = 0
 
     # -- public API ---------------------------------------------------------
@@ -175,6 +275,8 @@ class Verifier:
                 if insn.src == isa.BPF_PSEUDO_MAP_FD \
                         and insn.imm not in self.maps_by_fd:
                     self._reject(f"insn {index}: unknown map fd {insn.imm}")
+                if insn.src == isa.BPF_PSEUDO_FUNC and insn.imm < 0:
+                    self._may_cycle = True
                 index += 2
                 continue
             if insn.is_jump:
@@ -185,6 +287,11 @@ class Verifier:
                         self._reject(
                             f"insn {index}: jump out of range to {target}")
                     self._jump_targets.add(target)
+                    if target <= index:
+                        self._may_cycle = True
+                elif op == isa.BPF_CALL and insn.src == isa.BPF_PSEUDO_CALL \
+                        and insn.imm < 0:
+                    self._may_cycle = True
             index += 1
         for target in self._jump_targets:
             if target in self._ld64_second_slots:
@@ -246,17 +353,19 @@ class Verifier:
 
     def _symbolic_execution(self) -> None:
         explored = ExploredStates(enabled=self.config.prune_states)
+        path = _CheckpointPath()
         pending: List[
             Tuple[int, VerifierState, Optional[_WalkRecord], int]] = \
             [(0, self._initial_state(), None, 0)]
         while pending:
             self.stats.peak_pending = max(self.stats.peak_pending,
                                           len(pending))
-            insn_idx, state, parent, fork_pos = pending.pop()
-            self._walk(insn_idx, state, pending, explored, parent,
-                       fork_pos)
+            insn_idx, state, parent, fork_depth = pending.pop()
+            path.cut(fork_depth)
+            self._walk(insn_idx, state, pending, explored, path, parent)
         self.stats.prune_hits = explored.prune_hits
         self.stats.states_explored = explored.states_stored
+        self.stats.max_states_per_insn = explored.max_per_insn
 
     def _finish_walk(self, record: _WalkRecord,
                      explored: ExploredStates) -> None:
@@ -271,7 +380,7 @@ class Verifier:
             for insn_idx, snapshot in node.trace:
                 explored.remember(insn_idx, snapshot)
             node.trace.clear()
-            node.inflight.clear()
+            node.snapshots.clear()
             parent, node.parent = node.parent, None
             if parent is not None:
                 parent.open_branches -= 1
@@ -280,17 +389,20 @@ class Verifier:
     def _walk(self, insn_idx: int, state: VerifierState,
               pending: List[Tuple[int, VerifierState,
                                   Optional[_WalkRecord], int]],
-              explored: ExploredStates,
-              parent: Optional[_WalkRecord] = None,
-              fork_pos: int = 0) -> None:
+              explored: ExploredStates, path: _CheckpointPath,
+              parent: Optional[_WalkRecord] = None) -> None:
         """Walk one path until exit, prune, or a fork's end."""
-        record = _WalkRecord(parent, fork_pos)
+        record = _WalkRecord(parent)
         checkpoint_here = True  # walk start counts as a checkpoint
         visit_counts: Dict[int, int] = {}
+        insns, stats = self.insns, self.stats
         limits = self.config.limits
+        complexity_limit = limits.complexity_limit
+        tracing = self.config.log_level >= 2
+        may_cycle = self._may_cycle
 
         while True:
-            if not 0 <= insn_idx < len(self.insns):
+            if not 0 <= insn_idx < len(insns):
                 self._reject(f"fell off the program at insn {insn_idx}")
             if insn_idx in self._ld64_second_slots:
                 self._reject(
@@ -307,42 +419,38 @@ class Verifier:
                 at_target = count % 8 == 0
             if checkpoint_here or at_target:
                 checkpoint_here = False
-                key = state.state_key()
-                # revisiting an earlier checkpoint of this execution
-                # path with an identical state is a cycle making no
-                # progress: a real infinite loop.  The path runs
-                # through every ancestor walk, but only up to the
-                # fork each child descends from.
-                node: Optional[_WalkRecord] = record
-                bound = record.seq
-                while node is not None:
-                    for pos, seen in node.inflight.get(insn_idx, ()):
-                        if pos < bound and seen == key:
-                            self._reject(
-                                f"infinite loop detected at insn "
-                                f"{insn_idx}")
-                    bound = node.parent_pos
-                    node = node.parent
+                if may_cycle:
+                    # revisiting an earlier checkpoint of this
+                    # execution path with an identical state is a
+                    # cycle making no progress: a real infinite loop
+                    entry = (insn_idx, state.state_key())
+                    if entry in path:
+                        self._reject(
+                            f"infinite loop detected at insn {insn_idx}")
                 if explored.is_covered(insn_idx, state):
-                    self.stats.prune_hits = explored.prune_hits
+                    stats.prune_hits = explored.prune_hits
                     self._finish_walk(record, explored)
                     return
-                record.inflight.setdefault(insn_idx, []).append(
-                    (record.seq, key))
-                record.seq += 1
-                record.trace.append((insn_idx, state.copy()))
+                if may_cycle:
+                    path.push(entry)
+                # a snapshot beyond the room left at this insn could
+                # never be remembered when the walk commits: skip it
+                held = record.snapshots.get(insn_idx, 0)
+                if held < explored.room(insn_idx):
+                    record.snapshots[insn_idx] = held + 1
+                    record.trace.append((insn_idx, state.copy()))
 
-            if self.config.log_level >= 2:
+            if tracing:
                 self._trace_insn(insn_idx, state)
 
-            self.stats.insns_processed += 1
-            if self.stats.insns_processed > limits.complexity_limit:
+            stats.insns_processed += 1
+            if stats.insns_processed > complexity_limit:
                 self._reject_limit(
                     "BPF program is too large: processed "
-                    f"{self.stats.insns_processed} insns "
-                    f"(limit {limits.complexity_limit})")
+                    f"{stats.insns_processed} insns "
+                    f"(limit {complexity_limit})")
 
-            insn = self.insns[insn_idx]
+            insn = insns[insn_idx]
             cls = insn.insn_class
 
             if insn.is_ld_imm64:
@@ -397,7 +505,7 @@ class Verifier:
                             f"({len(pending)})")
                     record.open_branches += 1
                     pending.append((taken_idx, taken_state, record,
-                                    record.seq))
+                                    len(path)))
                     state = fall_state
                     insn_idx = fall_idx
                     checkpoint_here = True
@@ -489,16 +597,11 @@ class Verifier:
             src = RegState.const_scalar(insn.imm)
 
         if op == isa.BPF_MOV:
-            if insn.opcode & isa.BPF_X:
-                new = src  # already a copy
-                if not is64:
-                    if new.is_pointer:
-                        new = RegState.unknown_scalar()
-                    self._truncate32(new)
-            else:
-                new = RegState.const_scalar(insn.imm)
-                if not is64:
-                    self._truncate32(new)
+            new = src  # a copy, or a fresh constant
+            if not is64:
+                if new.is_pointer:
+                    new = RegState.unknown_scalar()
+                self._truncate32(new)
             state.cur.regs[insn.dst] = new
             return
 
@@ -533,7 +636,7 @@ class Verifier:
             self._truncate32(dst)
 
     def _truncate32(self, reg: RegState) -> None:
-        """ALU32 результат: zero-extend the low 32 bits."""
+        """ALU32 result: zero-extend the low 32 bits."""
         if reg.type != RegType.SCALAR:
             reg.mark_unknown()
         reg.var_off = reg.var_off.cast(4)
@@ -863,7 +966,9 @@ class Verifier:
 
     def _do_cond_jmp(self, state: VerifierState, insn: Insn,
                      insn_idx: int):
-        """Returns "taken", "fall", or (taken_state, fall_state)."""
+        """Returns "taken", "fall", or (taken_state, fall_state).  A
+        fork copies the state once: the fall side keeps ``state``
+        itself, which the walk continues with."""
         op = insn.opcode & isa.JMP_OP_MASK
         op_name = isa.JMP_OP_NAMES[op]
         is32 = insn.insn_class == isa.BPF_JMP32
@@ -890,7 +995,7 @@ class Verifier:
                 if dst.umax <= S32_MAX and src32.umax <= S32_MAX:
                     pass  # fall through to the 64-bit path below
                 else:
-                    return (state.copy(), state.copy())
+                    return (state.copy(), state)
             elif dst.is_const:
                 taken = self._concrete_jump(
                     op_name, dst.const_value & 0xFFFFFFFF,
@@ -899,7 +1004,7 @@ class Verifier:
             elif dst.umax <= S32_MAX and 0 <= insn.imm <= S32_MAX:
                 pass  # semantics coincide; use the 64-bit refinement
             else:
-                return (state.copy(), state.copy())
+                return (state.copy(), state)
 
         if insn.opcode & isa.BPF_X:
             src: RegState = self._check_reg_read(state, insn.src,
@@ -911,7 +1016,7 @@ class Verifier:
         if dst.type in OR_NULL_TYPES and op in (isa.BPF_JEQ, isa.BPF_JNE) \
                 and src.is_const and src.const_value == 0:
             taken_state = state.copy()
-            fall_state = state.copy()
+            fall_state = state
             if op == isa.BPF_JEQ:
                 self._mark_ptr_or_null(taken_state, dst.id, null=True)
                 self._mark_ptr_or_null(fall_state, dst.id, null=False)
@@ -929,7 +1034,7 @@ class Verifier:
         if dst.is_pointer or src.is_pointer:
             if dst.type == src.type or src.is_const:
                 # pointer comparisons fork without refinement
-                return (state.copy(), state.copy())
+                return (state.copy(), state)
             self._reject(f"insn {insn_idx}: comparison of incompatible "
                          f"pointer types {dst.type.value} vs "
                          f"{src.type.value}")
@@ -939,7 +1044,7 @@ class Verifier:
             return "taken" if decided else "fall"
 
         taken_state = state.copy()
-        fall_state = state.copy()
+        fall_state = state
         self._refine(taken_state, insn, op_name, True)
         self._refine(fall_state, insn, op_name, False)
         return (taken_state, fall_state)
@@ -975,16 +1080,12 @@ class Verifier:
                             op: int, dst: RegState, src: RegState):
         """``find_good_pkt_pointers``: learn packet range from
         pkt vs pkt_end comparisons."""
-        combos = {
-            (RegType.PTR_TO_PACKET, RegType.PTR_TO_PACKET_END): "direct",
-            (RegType.PTR_TO_PACKET_END, RegType.PTR_TO_PACKET): "flipped",
-        }
-        orient = combos.get((dst.type, src.type))
+        orient = _PKT_ORIENT.get((dst.type, src.type))
         if orient is None:
             return None
         pkt = dst if orient == "direct" else src
         if not pkt.var_off.is_const:
-            return (state.copy(), state.copy())
+            return (state.copy(), state)
         proven = pkt.off + u64_to_s64(pkt.var_off.value)
 
         # which branch proves pkt(+off) <= pkt_end?
@@ -1000,9 +1101,9 @@ class Verifier:
             elif op == isa.BPF_JLT:      # end < pkt: fall is good
                 good_on_taken = False
         if good_on_taken is None:
-            return (state.copy(), state.copy())
+            return (state.copy(), state)
         taken_state = state.copy()
-        fall_state = state.copy()
+        fall_state = state
         good = taken_state if good_on_taken else fall_state
         good.packet_range = max(good.packet_range, proven)
         return (taken_state, fall_state)
@@ -1010,57 +1111,29 @@ class Verifier:
     def _concrete_jump(self, op_name: str, dst_val: int, src_val: int,
                        width: int = 64) -> bool:
         """Evaluate a comparison on two known values."""
+        signed, compare = _CONCRETE_JUMPS[op_name]
         mask = (1 << width) - 1
-        dst_u, src_u = dst_val & mask, src_val & mask
-        sign = 1 << (width - 1)
-        dst_s = dst_u - (1 << width) if dst_u & sign else dst_u
-        src_s = src_u - (1 << width) if src_u & sign else src_u
-        table = {
-            "jeq": dst_u == src_u, "jne": dst_u != src_u,
-            "jgt": dst_u > src_u, "jge": dst_u >= src_u,
-            "jlt": dst_u < src_u, "jle": dst_u <= src_u,
-            "jset": bool(dst_u & src_u),
-            "jsgt": dst_s > src_s, "jsge": dst_s >= src_s,
-            "jslt": dst_s < src_s, "jsle": dst_s <= src_s,
-        }
-        return table[op_name]
+        dst_val, src_val = dst_val & mask, src_val & mask
+        if signed:
+            sign = 1 << (width - 1)
+            if dst_val & sign:
+                dst_val -= 1 << width
+            if src_val & sign:
+                src_val -= 1 << width
+        return compare(dst_val, src_val)
 
     def _is_branch_taken(self, op_name: str, dst: RegState,
                          src: RegState) -> Optional[bool]:
         """Decide the branch statically when both ranges force it."""
         if not (dst.type == RegType.SCALAR and src.type == RegType.SCALAR):
             return None
-        checks = {
-            "jeq": (lambda: dst.is_const and src.is_const
-                    and dst.const_value == src.const_value,
-                    lambda: dst.umin > src.umax or dst.umax < src.umin),
-            "jne": (lambda: dst.umin > src.umax or dst.umax < src.umin,
-                    lambda: dst.is_const and src.is_const
-                    and dst.const_value == src.const_value),
-            "jgt": (lambda: dst.umin > src.umax,
-                    lambda: dst.umax <= src.umin),
-            "jge": (lambda: dst.umin >= src.umax,
-                    lambda: dst.umax < src.umin),
-            "jlt": (lambda: dst.umax < src.umin,
-                    lambda: dst.umin >= src.umax),
-            "jle": (lambda: dst.umax <= src.umin,
-                    lambda: dst.umin > src.umax),
-            "jsgt": (lambda: dst.smin > src.smax,
-                     lambda: dst.smax <= src.smin),
-            "jsge": (lambda: dst.smin >= src.smax,
-                     lambda: dst.smax < src.smin),
-            "jslt": (lambda: dst.smax < src.smin,
-                     lambda: dst.smin >= src.smax),
-            "jsle": (lambda: dst.smax <= src.smin,
-                     lambda: dst.smin > src.smax),
-        }
-        pair = checks.get(op_name)
+        pair = _BRANCH_DECIDERS.get(op_name)
         if pair is None:
             return None
         always, never = pair
-        if always():
+        if always(dst, src):
             return True
-        if never():
+        if never(dst, src):
             return False
         return None
 
@@ -1084,18 +1157,7 @@ class Verifier:
             return
 
         # normalize to an effective relation that holds on this side
-        effective = {
-            ("jeq", True): "eq", ("jeq", False): "ne",
-            ("jne", True): "ne", ("jne", False): "eq",
-            ("jgt", True): "gt", ("jgt", False): "le",
-            ("jge", True): "ge", ("jge", False): "lt",
-            ("jlt", True): "lt", ("jlt", False): "ge",
-            ("jle", True): "le", ("jle", False): "gt",
-            ("jsgt", True): "sgt", ("jsgt", False): "sle",
-            ("jsge", True): "sge", ("jsge", False): "slt",
-            ("jslt", True): "slt", ("jslt", False): "sge",
-            ("jsle", True): "sle", ("jsle", False): "sgt",
-        }.get((op_name, taken))
+        effective = _EFFECTIVE_RELATION.get((op_name, taken))
         if effective is None:
             return
 

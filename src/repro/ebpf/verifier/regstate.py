@@ -12,14 +12,17 @@ pointer lattice, a fixed offset, a tnum for the variable part, and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.ebpf.verifier.tnum import Tnum, U64
+from repro.ebpf.verifier.tnum import TNUM_UNKNOWN, TNUM_ZERO, Tnum, U64
 
 S64_MIN = -(1 << 63)
 S64_MAX = (1 << 63) - 1
 U64_MAX = U64
+
+
+_new = object.__new__
 
 
 def u64_to_s64(x: int) -> int:
@@ -74,7 +77,7 @@ class RegState:
     #: fixed (compile-time known) offset from the pointer base
     off: int = 0
     #: variable part of the value / offset
-    var_off: Tnum = field(default_factory=Tnum.unknown)
+    var_off: Tnum = TNUM_UNKNOWN
     smin: int = S64_MIN
     smax: int = S64_MAX
     umin: int = 0
@@ -105,14 +108,15 @@ class RegState:
     @classmethod
     def const_scalar(cls, value: int) -> "RegState":
         """A fully known scalar."""
-        reg = cls(type=RegType.SCALAR)
-        reg.set_const(value)
-        return reg
+        uval = value & U64
+        sval = u64_to_s64(uval)
+        return cls(RegType.SCALAR, 0, Tnum.const(uval),
+                   sval, sval, uval, uval)
 
     @classmethod
     def pointer(cls, reg_type: RegType, off: int = 0, **kwargs) -> "RegState":
         """A pointer with a known offset and no variable part."""
-        reg = cls(type=reg_type, off=off, var_off=Tnum.const(0),
+        reg = cls(type=reg_type, off=off, var_off=TNUM_ZERO,
                   smin=0, smax=0, umin=0, umax=0, **kwargs)
         return reg
 
@@ -129,7 +133,7 @@ class RegState:
         """Forget everything; the register is an unknown scalar."""
         self.type = RegType.SCALAR
         self.off = 0
-        self.var_off = Tnum.unknown()
+        self.var_off = TNUM_UNKNOWN
         self.smin, self.smax = S64_MIN, S64_MAX
         self.umin, self.umax = 0, U64_MAX
         self.id = 0
@@ -160,13 +164,11 @@ class RegState:
 
     def update_bounds(self) -> None:
         """``__update_reg_bounds``: tighten ranges from var_off."""
-        sign_bit = 1 << 63
-        self.smin = max(self.smin, u64_to_s64(
-            self.var_off.value | (self.var_off.mask & sign_bit)))
-        self.smax = min(self.smax, u64_to_s64(
-            self.var_off.value | (self.var_off.mask & (U64 >> 1))))
-        self.umin = max(self.umin, self.var_off.value)
-        self.umax = min(self.umax, self.var_off.value | self.var_off.mask)
+        value, mask = self.var_off.value, self.var_off.mask
+        self.smin = max(self.smin, u64_to_s64(value | (mask & (1 << 63))))
+        self.smax = min(self.smax, u64_to_s64(value | (mask & S64_MAX)))
+        self.umin = max(self.umin, value)
+        self.umax = min(self.umax, value | mask)
 
     def deduce_bounds(self) -> None:
         """``__reg64_deduce_bounds``: cross-derive signed/unsigned.
@@ -206,12 +208,11 @@ class RegState:
     # -- copying / comparison --------------------------------------------------------
 
     def copy(self) -> "RegState":
-        """Deep-enough copy (tnums are immutable; map is shared)."""
-        return RegState(
-            type=self.type, off=self.off, var_off=self.var_off,
-            smin=self.smin, smax=self.smax, umin=self.umin, umax=self.umax,
-            id=self.id, ref_obj_id=self.ref_obj_id, map=self.map,
-            mem_size=self.mem_size, frameno=self.frameno)
+        """Deep-enough copy (tnums are immutable; map is shared).  The
+        fields are copied directly, not through the constructor."""
+        new = _new(RegState)
+        new.__dict__ = self.__dict__.copy()
+        return new
 
     def subsumes(self, other: "RegState") -> bool:
         """``regsafe``: is every behaviour of ``other`` covered by
@@ -300,12 +301,9 @@ class FuncFrame:
 
     def copy(self) -> "FuncFrame":
         """Deep copy for state forking."""
-        frame = FuncFrame(
-            regs=[r.copy() for r in self.regs],
-            stack={k: v.copy() for k, v in self.stack.items()},
-            frameno=self.frameno, callsite=self.callsite,
-            in_callback=self.in_callback)
-        return frame
+        return FuncFrame([r.copy() for r in self.regs],
+                         {k: v.copy() for k, v in self.stack.items()},
+                         self.frameno, self.callsite, self.in_callback)
 
     def state_key(self) -> tuple:
         """Hashable exact-state key over regs and stack."""

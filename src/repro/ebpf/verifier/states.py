@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.ebpf.verifier.regstate import FuncFrame
+from repro.ebpf.verifier.regstate import FuncFrame, RegType, SlotKind
 
 
 @dataclass
@@ -105,14 +105,14 @@ class VerifierState:
             if my_frame.in_callback != their_frame.in_callback:
                 return False
             for my_reg, their_reg in zip(my_frame.regs, their_frame.regs):
-                if my_reg.type.value == "not_init":
+                if my_reg.type is RegType.NOT_INIT:
                     continue  # we didn't rely on it; anything is fine
                 if not my_reg.subsumes(their_reg):
                     return False
             # every stack slot we relied on must be covered
             for slot_index, my_slot in my_frame.stack.items():
                 their_slot = their_frame.stack.get(slot_index)
-                if my_slot.kind.value == "invalid":
+                if my_slot.kind is SlotKind.INVALID:
                     continue
                 if their_slot is None:
                     return False
@@ -146,11 +146,27 @@ class ExploredStates:
                 return True
         return False
 
+    def room(self, insn_idx: int) -> int:
+        """How many more states ``insn_idx`` can store (none when
+        pruning is off).  Lists only grow, so a snapshot beyond this
+        room can never be remembered."""
+        if not self.enabled:
+            return 0
+        stored = self._by_insn.get(insn_idx, ())
+        return self.max_states_per_insn - len(stored)
+
     def remember(self, insn_idx: int, state: VerifierState) -> None:
-        """Record a state about to be explored from ``insn_idx``."""
+        """Record a state about to be explored from ``insn_idx``.  The
+        state is kept, not copied: it is a snapshot nothing else holds,
+        and explored states are never mutated."""
         if not self.enabled:
             return
         bucket = self._by_insn.setdefault(insn_idx, [])
         if len(bucket) < self.max_states_per_insn:
-            bucket.append(state.copy())
+            bucket.append(state)
             self.states_stored += 1
+
+    @property
+    def max_per_insn(self) -> int:
+        """Length of the longest per-instruction state list."""
+        return max(map(len, self._by_insn.values()), default=0)

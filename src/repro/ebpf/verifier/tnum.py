@@ -8,46 +8,71 @@ uses for tracking partial knowledge of register contents
 Vishwanathan et al. [50].
 
 The arithmetic below is a line-for-line port of the kernel's
-implementation, with Python integers wrapped to 64 bits.
+implementation, with Python integers wrapped to 64 bits.  ``tnum_mul``
+runs its loop on plain integers, with a const x const fast path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 U64 = (1 << 64) - 1
 
 
-def _wrap(x: int) -> int:
-    return x & U64
-
-
-@dataclass(frozen=True)
 class Tnum:
-    """A tristate number.  Immutable; operations return new tnums."""
+    """A tristate number.  Immutable, equal and hashed by
+    ``(value, mask)``; operations return new tnums.
 
-    value: int
-    mask: int
+    The invariant -- ``value & mask == 0`` and both fields fit in 64
+    bits -- is checked by the public constructor ``Tnum(value, mask)``.
+    The results of operations are built unchecked by :func:`_tnum`:
+    given valid operands, the algebra below cannot break the
+    invariant, and every operand was built one of these two ways.
+    """
 
-    def __post_init__(self) -> None:
-        if self.value & self.mask:
+    __slots__ = ("value", "mask")
+
+    def __init__(self, value: int, mask: int) -> None:
+        if value & mask:
             raise ValueError(
-                f"tnum invariant violated: value {self.value:#x} and "
-                f"mask {self.mask:#x} overlap")
-        if not (0 <= self.value <= U64 and 0 <= self.mask <= U64):
+                f"tnum invariant violated: value {value:#x} and "
+                f"mask {mask:#x} overlap")
+        if not (0 <= value <= U64 and 0 <= mask <= U64):
             raise ValueError("tnum fields must fit in 64 bits")
+        _set_value(self, value)
+        _set_mask(self, mask)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Tnum:
+            return NotImplemented
+        return self.value == other.value and self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.mask))
+
+    def __repr__(self) -> str:
+        return f"Tnum(value={self.value!r}, mask={self.mask!r})"
+
+    def __reduce__(self) -> tuple:
+        return (Tnum, (self.value, self.mask))
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def const(cls, value: int) -> "Tnum":
         """A fully known value."""
-        return cls(_wrap(value), 0)
+        return _tnum(value & U64, 0)
 
     @classmethod
     def unknown(cls) -> "Tnum":
         """A fully unknown value."""
-        return cls(0, U64)
+        return TNUM_UNKNOWN
 
     @classmethod
     def range(cls, umin: int, umax: int) -> "Tnum":
@@ -55,7 +80,7 @@ class Tnum:
         chi = umin ^ umax
         bits = chi.bit_length()
         if bits > 63:
-            return cls.unknown()
+            return TNUM_UNKNOWN
         delta = (1 << bits) - 1
         return cls(umin & ~delta, delta)
 
@@ -92,77 +117,94 @@ class Tnum:
 
     def add(self, other: "Tnum") -> "Tnum":
         """Abstract 64-bit addition (kernel ``tnum_add``)."""
-        sm = _wrap(self.mask + other.mask)
-        sv = _wrap(self.value + other.value)
-        sigma = _wrap(sm + sv)
+        sm = (self.mask + other.mask) & U64
+        sv = (self.value + other.value) & U64
+        sigma = (sm + sv) & U64
         chi = sigma ^ sv
         mu = chi | self.mask | other.mask
-        return Tnum(sv & ~mu, mu)
+        return _tnum(sv & ~mu, mu)
 
     def sub(self, other: "Tnum") -> "Tnum":
         """Abstract 64-bit subtraction (kernel ``tnum_sub``)."""
-        dv = _wrap(self.value - other.value)
-        alpha = _wrap(dv + self.mask)
-        beta = _wrap(dv - other.mask)
+        dv = (self.value - other.value) & U64
+        alpha = (dv + self.mask) & U64
+        beta = (dv - other.mask) & U64
         chi = alpha ^ beta
         mu = chi | self.mask | other.mask
-        return Tnum(dv & ~mu, mu)
+        return _tnum(dv & ~mu, mu)
 
     def and_(self, other: "Tnum") -> "Tnum":
         """Abstract bitwise AND."""
         alpha = self.value | self.mask
         beta = other.value | other.mask
         v = self.value & other.value
-        return Tnum(v, alpha & beta & ~v)
+        return _tnum(v, alpha & beta & ~v)
 
     def or_(self, other: "Tnum") -> "Tnum":
         """Abstract bitwise OR."""
         v = self.value | other.value
         mu = self.mask | other.mask
-        return Tnum(v, mu & ~v)
+        return _tnum(v, mu & ~v)
 
     def xor(self, other: "Tnum") -> "Tnum":
         """Abstract bitwise XOR."""
         v = self.value ^ other.value
         mu = self.mask | other.mask
-        return Tnum(v & ~mu, mu)
+        return _tnum(v & ~mu, mu)
 
     def mul(self, other: "Tnum") -> "Tnum":
         """Abstract 64-bit multiplication (kernel ``tnum_mul``,
-        the half-multiply-accumulate formulation of [50])."""
-        a, b = self, other
-        acc_v = _wrap(a.value * b.value)
-        acc_m = Tnum(0, 0)
-        while a.value or a.mask:
-            if a.value & 1:
-                acc_m = acc_m.add(Tnum(0, b.mask))
-            elif a.mask & 1:
-                acc_m = acc_m.add(Tnum(0, b.value | b.mask))
-            a = a.rshift(1)
-            b = b.lshift(1)
-        return Tnum(acc_v, 0).add(acc_m)
+        the half-multiply-accumulate formulation of [50]).
+
+        The loop runs on plain integers.  The accumulator starts at
+        ``TNUM(0, 0)`` and only ever gains ``TNUM(0, m)`` terms, so its
+        value stays 0 and ``tnum_add`` reduces to its mask update.
+        With both masks zero every term is zero, so a const x const
+        product is exactly ``const(a * b)``."""
+        a_value, a_mask = self.value, self.mask
+        b_value, b_mask = other.value, other.mask
+        acc_v = (a_value * b_value) & U64
+        if not (a_mask or b_mask):
+            return _tnum(acc_v, 0)
+        acc_m = 0
+        while a_value or a_mask:
+            if a_value & 1:
+                term = b_mask
+            elif a_mask & 1:
+                term = b_value | b_mask
+            else:
+                term = 0
+            acc_m |= ((acc_m + term) & U64) | term
+            a_value >>= 1
+            a_mask >>= 1
+            b_value = (b_value << 1) & U64
+            b_mask = (b_mask << 1) & U64
+        # tnum_add(TNUM(acc_v, 0), TNUM(0, acc_m))
+        mu = (((acc_v + acc_m) & U64) ^ acc_v) | acc_m
+        return _tnum(acc_v & ~mu, mu)
 
     def lshift(self, shift: int) -> "Tnum":
         """Abstract left shift by a known amount."""
-        return Tnum(_wrap(self.value << shift), _wrap(self.mask << shift))
+        return _tnum((self.value << shift) & U64,
+                     (self.mask << shift) & U64)
 
     def rshift(self, shift: int) -> "Tnum":
         """Abstract logical right shift by a known amount."""
-        return Tnum(self.value >> shift, self.mask >> shift)
+        return _tnum(self.value >> shift, self.mask >> shift)
 
     def arshift(self, shift: int) -> "Tnum":
         """Abstract arithmetic right shift by a known amount."""
         def sar(x: int) -> int:
             if x & (1 << 63):
-                return _wrap((x >> shift) | (U64 << (64 - shift)))
+                return ((x >> shift) | (U64 << (64 - shift))) & U64
             return x >> shift
         if shift == 0:
             return self
-        return Tnum(sar(self.value), sar(self.mask))
+        return _tnum(sar(self.value), sar(self.mask))
 
     def neg(self) -> "Tnum":
         """Abstract negation (0 - x)."""
-        return Tnum.const(0).sub(self)
+        return TNUM_ZERO.sub(self)
 
     # -- lattice ops -----------------------------------------------------------
 
@@ -170,20 +212,20 @@ class Tnum:
         """Combine two sources of knowledge about the same value."""
         v = self.value | other.value
         mu = self.mask & other.mask
-        return Tnum(v & ~mu, mu)
+        return _tnum(v & ~mu, mu)
 
     def union(self, other: "Tnum") -> "Tnum":
         """Least upper bound: forget bits on which the two disagree."""
         v = self.value & other.value
         mu = self.mask | other.mask | (self.value ^ other.value)
-        return Tnum(v & ~mu, mu)
+        return _tnum(v & ~mu, mu)
 
     def cast(self, size: int) -> "Tnum":
         """Truncate to ``size`` bytes (zero-extending semantics)."""
         if size == 8:
             return self
         keep = (1 << (size * 8)) - 1
-        return Tnum(self.value & keep, self.mask & keep)
+        return _tnum(self.value & keep, self.mask & keep)
 
     # -- bounds helpers ----------------------------------------------------------
 
@@ -205,5 +247,19 @@ class Tnum:
         return f"(value={self.value:#x}; mask={self.mask:#x})"
 
 
-TNUM_UNKNOWN = Tnum.unknown()
-TNUM_ZERO = Tnum.const(0)
+_new = object.__new__
+_set_value = Tnum.value.__set__
+_set_mask = Tnum.mask.__set__
+
+
+def _tnum(value: int, mask: int) -> Tnum:
+    """Build an operation's result without the invariant check; the
+    caller's algebra guarantees it (see :class:`Tnum`)."""
+    tnum = _new(Tnum)
+    _set_value(tnum, value)
+    _set_mask(tnum, mask)
+    return tnum
+
+
+TNUM_UNKNOWN = _tnum(0, U64)
+TNUM_ZERO = _tnum(0, 0)

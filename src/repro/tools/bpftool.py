@@ -127,6 +127,8 @@ def cmd_prog_verify(args) -> int:
           f"{stats.insns_processed} steps, "
           f"{stats.states_explored} states stored, "
           f"{stats.prune_hits} prunes, "
+          f"max_states_per_insn {stats.max_states_per_insn}, "
+          f"peak_pending {stats.peak_pending}, "
           f"{stats.wall_time_s * 1e3:.2f} ms")
     if args.log:
         print("--- verifier log ---")

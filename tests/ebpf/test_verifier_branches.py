@@ -149,6 +149,25 @@ class TestPruning:
         stats = load(self.diamond_chain(6)).verifier_stats
         assert stats.prune_hits > 0
 
+    def test_max_states_per_insn_recorded(self, load):
+        stats = load(self.diamond_chain(6)).verifier_stats
+        assert 1 < stats.max_states_per_insn < stats.states_explored
+        unpruned = load(self.diamond_chain(6), prune_states=False)
+        assert unpruned.verifier_stats.max_states_per_insn == 0
+
+    def test_max_states_per_insn_capped(self, load):
+        program = (Asm()
+                   .mov64_imm(R0, 1000)
+                   .label("top")
+                   .alu64_imm("sub", R0, 1)
+                   .jmp_imm("jne", R0, 0, "top")
+                   .exit_()
+                   .program())
+        stats = load(program).verifier_stats
+        # the loop head keeps the kernel's 64 states, no more
+        assert stats.max_states_per_insn == 64
+        assert stats.states_explored == 65
+
 
 class TestJsetRefinement:
     def test_false_branch_clears_tested_bits(self, bpf):

@@ -2,11 +2,11 @@
 
 For every load in each corpus group, the verdict, the exception type
 and message, ``insns_processed``, ``states_explored``, ``prune_hits``
-and ``peak_pending`` are hashed.  The literals were recorded before
-the verifier's fast paths (unchecked tnum results, single-copy forks,
-skipped dead snapshots, indexed cycle keys) went in, so any change to
-what the verifier decides or counts fails here, not only where some
-other test happens to assert on it.
+and ``peak_pending`` are hashed.  The literals were computed with the
+verifier as it stood before its fast paths (unchecked tnum results,
+single-copy forks, skipped dead snapshots, indexed cycle keys) went
+in, so any change to what the verifier decides or counts fails here,
+not only where some other test happens to assert on it.
 """
 
 import functools
@@ -18,8 +18,9 @@ import pytest
 from repro.analysis.fuzz import random_program
 from repro.ebpf import Asm, ProgType
 from repro.ebpf.bugs import BugConfig
+from repro.ebpf.helpers import ids
 from repro.ebpf.helpers.registry import build_default_registry
-from repro.ebpf.isa import R0, R6, R7
+from repro.ebpf.isa import R0, R1, R2, R3, R4, R6, R7
 from repro.ebpf.verifier.analyzer import Verifier, VerifierConfig
 from repro.ebpf.verifier.limits import VerifierLimits
 from repro.experiments.exp_verification_cost import (
@@ -69,6 +70,58 @@ def nested_loop(outer: int, inner: int) -> list:
             .mov64_imm(R0, 0).exit_().program())
 
 
+def cross_fork_cycle() -> list:
+    # the taken side reloads r0 and jumps back: at the loop head its
+    # state equals the one checkpointed there before the fork
+    return (Asm().ldx(8, R0, R1, 0).label("top")
+            .jmp_imm("jeq", R0, 7, "back")
+            .mov64_imm(R0, 0).exit_()
+            .label("back").ldx(8, R0, R1, 0)
+            .ja("top").program())
+
+
+def fork_isolation(branch) -> list:
+    """Only the fall side sets r3, so the taken side's read of r3 must
+    be rejected: the two sides of a fork may not share state."""
+    asm = Asm().ldx(8, R0, R1, 0).ldx(8, R2, R1, 8)
+    branch(asm)
+    return (asm.mov64_imm(R3, 5).mov64_imm(R0, 0).exit_()
+            .label("taken").mov64_reg(R0, R3).exit_().program())
+
+
+FORK_KINDS = (
+    lambda asm: asm.jmp_imm("jgt", R0, 5, "taken"),
+    lambda asm: asm.jmp_reg("jgt", R0, R2, "taken"),
+    lambda asm: asm.jmp32_imm("jgt", R0, 5, "taken"),
+    lambda asm: asm.jmp32_reg("jgt", R0, R2, "taken"),
+    lambda asm: asm.jmp_imm("jeq", R1, 0, "taken"),   # pointer compare
+)
+
+
+def subprog_loop() -> list:
+    return (Asm().call_subprog("f").call_subprog("f").exit_()
+            .label("f").mov64_imm(R0, 20).label("top")
+            .alu64_imm("sub", R0, 1).jmp_imm("jne", R0, 0, "top")
+            .exit_().program())
+
+
+def backward_call() -> list:
+    return (Asm().ja("main")
+            .label("f").mov64_imm(R0, 1).exit_()
+            .label("main").call_subprog("f").exit_().program())
+
+
+def bpf_loop_program(backward: bool) -> list:
+    asm = Asm()
+    if backward:
+        asm.ja("main").label("cb").mov64_imm(R0, 0).exit_().label("main")
+    asm.mov64_imm(R1, 10).ld_func(R2, "cb").mov64_imm(R3, 0)
+    asm.mov64_imm(R4, 0).call(ids.BPF_FUNC_loop).mov64_imm(R0, 0).exit_()
+    if not backward:
+        asm.label("cb").mov64_imm(R0, 0).exit_()
+    return asm.program()
+
+
 def fuzz_programs() -> list:
     rng = random.Random(FUZZ_SEED)
     return [random_program(rng, max_insns=40)
@@ -103,6 +156,18 @@ def loop_lines() -> list:
             for config in configs for program in programs]
 
 
+def fork_and_call_lines() -> list:
+    programs = [cross_fork_cycle(), subprog_loop(), backward_call(),
+                Asm().label("f").call_subprog("f").mov64_imm(R0, 0)
+                .exit_().program(),
+                bpf_loop_program(False), bpf_loop_program(True)]
+    programs += [fork_isolation(kind) for kind in FORK_KINDS]
+    return [outcome(program, config)
+            for config in (VerifierConfig(),
+                           VerifierConfig(prune_states=False))
+            for program in programs]
+
+
 def cost_lines() -> list:
     small = VerifierLimits(complexity_limit=200_000)
     lines = [outcome(straight_line_program(size), VerifierConfig())
@@ -121,6 +186,7 @@ GROUPS = {
     "fuzz-all-patched": lambda: fuzz_lines(BugConfig.all_patched()),
     "fuzz-variants": fuzz_variant_lines,
     "loops": loop_lines,
+    "forks-and-calls": fork_and_call_lines,
     "cost": cost_lines,
 }
 
@@ -133,6 +199,8 @@ GOLDEN = {
         "3aa25d1a5f3dce1aa1c9a5e158bb8535ca0d9026e6862dd47207c048860c4f15",
     "loops":
         "54caa577ac96543b34a6015d26386ee082ae35c4ca14d303ed9436b556282409",
+    "forks-and-calls":
+        "11c680cdb58b1bbf77e580de59225c3f8b80cc0d177687039cb47cb515acfe31",
     "cost":
         "ed56fe68004e3ae9eddcbb89597f26d8f50fd4a44752d841d46eb4599f94d691",
 }

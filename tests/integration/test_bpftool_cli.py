@@ -33,6 +33,9 @@ class TestProgCommands:
         out = capsys.readouterr().out
         assert "verification OK" in out
         assert "4 insns" in out
+        # the kernel's closing log line reports both
+        assert "max_states_per_insn 1" in out
+        assert "peak_pending 1" in out
 
     def test_verify_with_log(self, prog_file, capsys):
         assert main(["prog", "verify", prog_file, "--log"]) == 0
