@@ -90,7 +90,7 @@ fn count(slot: u64) -> i64 {
 
 def build_plane(kernel: Kernel):
     """Stand up NIC + data plane with the firewall attached."""
-    bpf = BpfSubsystem(kernel, engine="compiled")
+    bpf = BpfSubsystem(kernel)
     stats = bpf.create_map("array", key_size=4, value_size=8,
                            max_entries=4)
     plane = DataPlane(kernel, bpf)

@@ -19,9 +19,7 @@ Faithful-in-structure model of Linux eBPF:
 
 from repro.ebpf.isa import Insn
 from repro.ebpf.asm import Asm
-from repro.ebpf.engine import Engine, resolve_engine
 from repro.ebpf.loader import BpfSubsystem, LoadedProgram
 from repro.ebpf.progs import ProgType
 
-__all__ = ["Insn", "Asm", "BpfSubsystem", "Engine", "LoadedProgram",
-           "ProgType", "resolve_engine"]
+__all__ = ["Insn", "Asm", "BpfSubsystem", "LoadedProgram", "ProgType"]

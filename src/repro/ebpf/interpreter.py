@@ -30,28 +30,33 @@ predecode.PredecodedProgram` dispatch table built at load time, and
   identically to per-insn accounting everywhere it can be observed.
 * ``compiled`` (:mod:`repro.ebpf.compile`) lowers the dispatch table
   to generated Python — one straight-line statement run per basic
-  block, registers as locals — ``exec``-compiled once per program and
-  cached content-addressed by the loader.  Helpers, memory, atomics
+  block, registers as locals — ``exec``-compiled once per program by
+  this VM and shared through the load cache.  Helpers, memory, atomics
   and tail calls still route through this VM, so fault injection and
   telemetry see the same world.
 
-``engine`` on :class:`BpfVm` (or per program via
-``LoadedProgram.engine``) selects a tier explicitly;
-``DEFAULT_ENGINE`` picks for VMs that don't.
-All engines must stay observationally identical (see
-``tests/ebpf/test_fastpath_differential.py`` and
-``tests/ebpf/test_malformed_differential.py``).
+The VM picks each program's tier (:meth:`BpfVm.tier`): ``fast`` until
+the program has run more than :data:`COMPILE_AFTER_RUNS` times, then
+``compiled`` — at once when the load cache already holds a compiled
+artifact for its bytes.  ``engine`` on :class:`BpfVm` pins every
+program to one tier instead; the differential suites and reference
+audits use the pin.  All engines must stay observationally identical
+(see
+``tests/ebpf/test_fastpath_differential.py``,
+``tests/ebpf/test_malformed_differential.py`` and
+``tests/ebpf/test_tiering.py``).
 """
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterator, List, Optional,
+                    Sequence)
 
 from repro.ebpf import isa
 from repro.ebpf.bugs import BugConfig
 from repro.ebpf.compile import CompiledProgram, compile_program
-from repro.ebpf.engine import ENGINE_NAMES, resolve_engine
 from repro.ebpf.helpers.base import HelperCallContext
 from repro.ebpf.isa import Insn, to_s64, to_u64
 from repro.ebpf.predecode import (
@@ -67,6 +72,9 @@ from repro.ebpf.predecode import (
 from repro.errors import BpfRuntimeError, KernelOops
 from repro.kernel.kernel import Kernel
 
+if TYPE_CHECKING:
+    from repro.ebpf.loader import LoadedProgram
+
 U64 = (1 << 64) - 1
 U32 = (1 << 32) - 1
 
@@ -75,14 +83,21 @@ _F64 = 1 << 64
 _H32 = 1 << 31
 _F32 = 1 << 32
 
-#: the three execution tiers, slowest to fastest (re-exported from
-#: :mod:`repro.ebpf.engine`, the single source of truth)
-ENGINES = ENGINE_NAMES
+#: the three execution tiers, slowest to fastest
+ENGINES = ("interp", "fast", "compiled")
 
-#: engine used by VMs that don't pick one explicitly; the slow
-#: decode-per-step ``interp`` stays available as the differential
-#: baseline
-DEFAULT_ENGINE = "fast"
+#: the tier every VM built without an ``engine`` is pinned to; None
+#: lets each VM pick per program.  The corpus differential patches it.
+DEFAULT_ENGINE: Optional[str] = None
+
+#: runs of one program on ``fast`` before the VM compiles it.  A
+#: compile pays off after compile cost / saving per run: ~60 runs for
+#: the straight-line programs of perfbench's load_churn pool (1.21 ms /
+#: 0.020 ms on a 2-vCPU host) and ~90-150 for the XDP firewall.  Any
+#: value from 5 to ~500 keeps programs that run a few times per load
+#: (load_churn: 2, a fleet soak: 4) on ``fast`` and compiles the
+#: firewall within xdp_firewall's 512-packet warm-up.
+COMPILE_AFTER_RUNS = 64
 
 
 def _cond_eval(cond: int, d: int, s: int, half: int, full: int) -> bool:
@@ -161,11 +176,13 @@ class BpfVm:
         self.bugs = bugs or BugConfig()
         #: concrete iterations executed before fast-forwarding a loop
         self.loop_sample_limit = loop_sample_limit
-        #: default execution tier; a loaded program may override it
-        #: via its own ``engine`` attribute
-        self.engine = resolve_engine(engine, DEFAULT_ENGINE)
-        #: fresh compilations performed by this VM (lazy path; the
-        #: loader's compile cache normally attaches one at load)
+        engine = DEFAULT_ENGINE if engine is None else engine
+        if engine is not None and engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; "
+                             f"expected one of {ENGINES}")
+        #: the tier every program is pinned to; None lets the VM pick
+        self.engine = engine
+        #: programs this VM compiled (the only place programs compile)
         self.compiles = 0
         self.insns_executed = 0
         #: crossings from verified bytecode into unverified kernel C
@@ -221,7 +238,7 @@ class BpfVm:
 
     # -- top-level dispatch ---------------------------------------------------
 
-    def run(self, prog: object, ctx_addr: int) -> int:
+    def run(self, prog: LoadedProgram, ctx_addr: int) -> int:
         """Run a loaded program on a context address, with the real
         eBPF execution environment: RCU read lock held, preemption
         off, tail calls honoured up to the chain limit.
@@ -247,13 +264,14 @@ class BpfVm:
                 insns=self.insns_executed - start_insns,
                 helper_calls=self.helper_calls - start_helpers)
 
-    def _run_locked(self, prog: object, ctx_addr: int) -> int:
+    def _run_locked(self, prog: LoadedProgram, ctx_addr: int) -> int:
         """The uninstrumented execution environment (see :meth:`run`)."""
         cpu = self.kernel.current_cpu
         rcu = self.kernel.rcu
         rcu.read_lock(holder=f"bpf:{prog.name}")
         cpu.preempt_disable()
         try:
+            prog.runs += 1
             self._activate(prog)
             try:
                 return self._run_frame(0, [0] * 11, ctx_addr, depth=0)
@@ -264,20 +282,32 @@ class BpfVm:
             cpu.preempt_enable()
             rcu.read_unlock()
 
-    def _activate(self, prog: object) -> None:
+    def tier(self, prog: LoadedProgram) -> str:
+        """The tier ``prog`` runs on at its current run count: the
+        VM's pin when it has one, else ``compiled`` once the program
+        has a compiled artifact or has run more than
+        :data:`COMPILE_AFTER_RUNS` times, else ``fast``."""
+        if self.engine is not None:
+            return self.engine
+        if prog.compiled is not None or prog.runs > COMPILE_AFTER_RUNS:
+            return "compiled"
+        return "fast"
+
+    def _activate(self, prog: LoadedProgram) -> None:
         """Bind the VM's frame-execution state to ``prog``: its
         runnable instructions plus the dispatch table / compiled frame
-        function its effective engine needs."""
+        function its tier needs.  Called only between runs, so a
+        program never changes tier inside one."""
         self._current_prog = prog
         self._insns = prog.runnable_insns()
-        engine = getattr(prog, "engine", None) or self.engine
-        if engine == "interp":
+        tier = self.tier(prog)
+        if tier == "interp":
             self._decoded = None
             self._compiled = None
         else:
             self._decoded = self._decoded_for(prog)
             self._compiled = self._compiled_for(prog) \
-                if engine == "compiled" else None
+                if tier == "compiled" else None
 
     def _finish_tail_calls(self, req: TailCallRequest,
                            ctx_addr: int) -> int:
@@ -289,6 +319,7 @@ class BpfVm:
                 raise BpfRuntimeError(
                     "tail call chain exceeded "
                     f"{self.subsystem.limits.max_tail_calls}")
+            req.prog.runs += 1
             self._activate(req.prog)
             try:
                 return self._run_frame(0, [0] * 11, ctx_addr, depth=0)
@@ -305,7 +336,8 @@ class BpfVm:
         return target
 
     @contextmanager
-    def batch_runner(self, prog: object) -> Iterator[Callable[[int], int]]:
+    def batch_runner(self, prog: LoadedProgram
+                     ) -> Iterator[Callable[[int], int]]:
         """One RCU/preempt critical section around many invocations.
 
         The XDP data plane processes packets in NAPI-style bursts:
@@ -313,9 +345,11 @@ class BpfVm:
         the attached program on every buffer of the batch, so the
         per-packet cost is one frame execution and nothing else.
         This context manager models exactly that — it takes the RCU
-        read lock, disables preemption and resolves the program's
-        engine state *once*, then yields a ``run_one(ctx_addr) ->
-        verdict`` callable for the hot loop.  Tail calls are honoured
+        read lock, disables preemption and binds the program's tier
+        *once*, then yields a ``run_one(ctx_addr) -> verdict``
+        callable for the hot loop.  Each packet counts as one run, and
+        the program is re-bound before the packet that takes it past
+        :data:`COMPILE_AFTER_RUNS`.  Tail calls are honoured
         per invocation (the chain limit applies per packet, as in
         :meth:`run`), per-run stats are recorded while
         ``telemetry.stats_enabled`` is on, and the critical section
@@ -329,9 +363,14 @@ class BpfVm:
         self._activate(prog)
         telemetry = kernel.telemetry
         clock = kernel.clock
+        picks = self.engine is None
 
         def run_frame(ctx_addr: int) -> int:
             """One invocation inside the held critical section."""
+            prog.runs += 1
+            if picks and self._compiled is None \
+                    and prog.runs > COMPILE_AFTER_RUNS:
+                self._activate(prog)
             try:
                 return self._run_frame(0, [0] * 11, ctx_addr, depth=0)
             except TailCallRequest as req:
@@ -364,32 +403,33 @@ class BpfVm:
             cpu.preempt_enable()
             rcu.read_unlock()
 
-    def _decoded_for(self, prog: object) -> PredecodedProgram:
+    def _decoded_for(self, prog: LoadedProgram) -> PredecodedProgram:
         """The program's dispatch table, predecoding lazily if the
         loader didn't attach one (e.g. hand-built test programs)."""
-        decoded = getattr(prog, "predecoded", None)
+        decoded = prog.predecoded
         if decoded is not None and decoded.n_insns == len(self._insns):
             return decoded
-        decoded = predecode(self._insns)
-        try:
-            prog.predecoded = decoded
-        except (AttributeError, TypeError):
-            pass  # frozen/slotted prog objects just predecode per run
+        decoded = prog.predecoded = predecode(self._insns)
         return decoded
 
-    def _compiled_for(self, prog: object) -> CompiledProgram:
-        """The program's compiled frame function, compiling lazily if
-        the loader's compile cache didn't attach one."""
-        compiled = getattr(prog, "compiled", None)
+    def _compiled_for(self, prog: LoadedProgram) -> CompiledProgram:
+        """The program's compiled frame function.  This is the one
+        place a program is compiled: the artifact goes on the program
+        and on its load-cache entry, so a reload of the same bytes
+        starts compiled, and the compile time goes on the program's
+        telemetry row."""
+        compiled = prog.compiled
         if compiled is not None and \
                 compiled.n_insns == len(self._insns):
             return compiled
-        compiled = compile_program(self._decoded)
+        start = time.perf_counter()
+        compiled = prog.compiled = compile_program(self._decoded)
+        self.kernel.telemetry.record_compile(
+            "ebpf", prog.name,
+            int((time.perf_counter() - start) * 1e9))
         self.compiles += 1
-        try:
-            prog.compiled = compiled
-        except (AttributeError, TypeError):
-            pass  # frozen/slotted prog objects just recompile per run
+        if prog.cache_entry is not None:
+            prog.cache_entry.compiled = compiled
         return compiled
 
     # -- frame execution ---------------------------------------------------------

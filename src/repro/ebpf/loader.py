@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.ebpf.bugs import BugConfig
-from repro.ebpf.compile import CompiledProgram, compile_program
-from repro.ebpf.engine import EngineLike, resolve_engine
+from repro.ebpf.compile import CompiledProgram
 from repro.ebpf.helpers.registry import HelperRegistry, \
     build_default_registry
 from repro.ebpf.interpreter import BpfVm
@@ -62,11 +61,16 @@ class LoadedProgram:
     jit: Optional[JitResult] = None
     #: dispatch table over ``runnable_insns()``, attached at load time
     predecoded: Optional[PredecodedProgram] = None
-    #: exec-compiled frame function (compiled tier), attached at load
-    #: time when the subsystem's engine is ``compiled``
+    #: exec-compiled frame function, attached by the VM when it moves
+    #: the program to the compiled tier, or at load when the load
+    #: cache already holds one for these bytes
     compiled: Optional[CompiledProgram] = None
-    #: per-program engine override; ``None`` follows the VM default
-    engine: Optional[str] = None
+    #: entries into the program: top-level runs, data-plane packets
+    #: and tail calls into it (the VM's tier rule reads this)
+    runs: int = 0
+    #: the load-cache entry this program was loaded through, which
+    #: receives the VM's compiled artifact
+    cache_entry: Optional[CachedLoad] = None
 
     def runnable_insns(self) -> List[Insn]:
         """What the CPU actually executes: JIT output when present."""
@@ -82,15 +86,12 @@ class BpfSubsystem:
                  limits: Optional[VerifierLimits] = None,
                  use_jit: bool = True,
                  use_load_cache: bool = True,
-                 engine: EngineLike = None) -> None:
+                 engine: Optional[str] = None) -> None:
         self.kernel = kernel
         self.registry = registry or build_default_registry()
         self.bugs = bugs or BugConfig()
         self.limits = limits or VerifierLimits()
         self.use_jit = use_jit
-        #: compiled-tier artifact reuse across loads of the same bytes
-        self.compile_cache_hits = 0
-        self.compile_cache_misses = 0
         #: §3's signature-at-load-time model: accepted bytecode is
         #: keyed by content hash so identical reloads skip the
         #: verifier entirely
@@ -119,8 +120,7 @@ class BpfSubsystem:
         spec = spec if spec is not None else kernel.spec
         return cls(kernel, registry=registry, bugs=bugs,
                    limits=limits, use_jit=spec.use_jit,
-                   use_load_cache=spec.use_load_cache,
-                   engine=spec.engine)
+                   use_load_cache=spec.use_load_cache)
 
     # -- maps -----------------------------------------------------------------
 
@@ -270,27 +270,13 @@ class BpfSubsystem:
             cached = cache.lookup(cache_key)
         jit_ns = 0
         predecode_ns = 0
-        compile_ns = 0
-        compiled: Optional[CompiledProgram] = None
+        entry = cached
         if cached is not None:
             # §3's signature check: the bytes were accepted before
             # under this exact configuration — replay the artifacts
             stats = cached.stats_copy()
             jit = cached.jit
             decoded = cached.predecoded
-            if self.vm.engine == "compiled":
-                compiled = cached.compiled
-                if compiled is None:
-                    # first compiled-tier load of bytes cached under
-                    # another engine: compile once, backfill the entry
-                    stage_start = time.perf_counter()
-                    compiled = compile_program(decoded)
-                    compile_ns = int(
-                        (time.perf_counter() - stage_start) * 1e9)
-                    cached.compiled = compiled
-                    self.compile_cache_misses += 1
-                else:
-                    self.compile_cache_hits += 1
             self.kernel.log.log(
                 self.kernel.clock.now_ns,
                 f"bpf: verification cache hit for ({name}), "
@@ -314,19 +300,15 @@ class BpfSubsystem:
                                 else list(insns))
             predecode_ns = int((time.perf_counter() - jit_done) * 1e9)
             jit_ns = int((jit_done - stage_start) * 1e9)
-            if self.vm.engine == "compiled":
-                stage_start = time.perf_counter()
-                compiled = compile_program(decoded)
-                compile_ns = int(
-                    (time.perf_counter() - stage_start) * 1e9)
-                self.compile_cache_misses += 1
             if cache is not None and cache_key is not None:
-                cache.insert(cache_key,
-                             CachedLoad(stats, jit, decoded, compiled))
+                entry = CachedLoad(stats, jit, decoded)
+                cache.insert(cache_key, entry)
         prog = LoadedProgram(
             prog_id=self._next_prog_id, name=name, prog_type=prog_type,
             insns=list(insns), verifier_stats=stats, jit=jit,
-            predecoded=decoded, compiled=compiled)
+            predecoded=decoded,
+            compiled=entry.compiled if entry is not None else None,
+            cache_entry=entry)
         self._next_prog_id += 1
         self._progs[prog.prog_id] = prog
         self.kernel.telemetry.record_load(
@@ -335,7 +317,6 @@ class BpfSubsystem:
             verify_ns=0 if cached is not None
             else int(stats.wall_time_s * 1e9),
             jit_ns=jit_ns, predecode_ns=predecode_ns,
-            compile_ns=compile_ns,
             insns=len(prog.insns),
             insns_processed=0 if cached is not None
             else stats.insns_processed,
@@ -361,25 +342,6 @@ class BpfSubsystem:
     def all_progs(self) -> List[LoadedProgram]:
         """Every loaded program, in load order."""
         return [self._progs[pid] for pid in sorted(self._progs)]
-
-    def set_engine(self, prog: LoadedProgram,
-                   engine: EngineLike) -> None:
-        """Pin a program to an execution tier (``None`` clears the
-        override and the program follows the VM default again).
-        Pinning ``compiled`` compiles eagerly so the cost lands at
-        configuration time, not on the next invocation."""
-        try:
-            engine = resolve_engine(engine)
-        except ValueError as error:
-            raise BpfRuntimeError(str(error)) from None
-        prog.engine = engine
-        if engine == "compiled" and prog.compiled is None:
-            decoded = prog.predecoded
-            if decoded is None:
-                decoded = predecode(prog.runnable_insns())
-                prog.predecoded = decoded
-            prog.compiled = compile_program(decoded)
-            self.compile_cache_misses += 1
 
     # -- execution ---------------------------------------------------------------
 

@@ -37,10 +37,10 @@ from typing import Iterable, Optional, Tuple
 @dataclasses.dataclass
 class CachedLoad:
     """Artifacts of one accepted load: stats, JIT output, dispatch
-    table, and (when the compiled tier is in use) the exec-compiled
-    frame function.  ``compiled`` is backfilled on first compiled-tier
-    load of an entry cached under another engine — the content hash
-    already keys everything compilation depends on."""
+    table, and the exec-compiled frame function once the VM has
+    compiled a program loaded through this entry — the content hash
+    already keys everything compilation depends on, so a reload
+    starts compiled."""
 
     stats: object
     jit: Optional[object]

@@ -346,7 +346,7 @@ def run_dataplane_case(schedule: str, seed: int,
     SCHEDULES[schedule](plane)
     violations: List[str] = []
     outcome = "completed"
-    bpf = BpfSubsystem(kernel, engine="compiled")
+    bpf = BpfSubsystem(kernel)
     data_plane = DataPlane(kernel, bpf, ringbuf_bytes=4096)
     try:
         nic = data_plane.create_nic(1, "chaos0", queue_depth=64)

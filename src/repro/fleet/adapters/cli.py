@@ -34,8 +34,7 @@ from repro.fleet.services.orchestrator import RolloutOrchestrator
 
 def _scenario(args: object) -> FleetScenario:
     """Boot the canonical scenario from common CLI arguments."""
-    return build_scenario(size=args.nodes, seed=args.seed,
-                          engine=getattr(args, "engine", None))
+    return build_scenario(size=args.nodes, seed=args.seed)
 
 
 def _pick_release(scenario: FleetScenario, which: str) -> object:

@@ -57,14 +57,12 @@ def bad_time_prog() -> List[object]:
             .program())
 
 
-def default_fleet_spec(seed: int,
-                       engine: Optional[object] = None) -> KernelSpec:
+def default_fleet_spec(seed: int) -> KernelSpec:
     """The fleet's node image: 2 CPUs, supervisor attached, the
     trigger site armed to panic on every hit (deterministically —
     no probability involved), seeded from the rollout seed."""
-    return KernelSpec(
-        nr_cpus=2, recovery=True, engine=engine,
-    ).with_faults(seed, f"{TRIGGER_SITE}=every:1=panic")
+    return KernelSpec(nr_cpus=2, recovery=True).with_faults(
+        seed, f"{TRIGGER_SITE}=every:1=panic")
 
 
 class SimFleet(FleetPort):
@@ -170,7 +168,6 @@ class FleetScenario:
 
 
 def build_scenario(size: int, seed: int,
-                   engine: Optional[object] = None,
                    retry_policy: Optional[RetryPolicy] = None,
                    ) -> FleetScenario:
     """Assemble the canonical fleet: publish the three releases,
@@ -186,7 +183,7 @@ def build_scenario(size: int, seed: int,
                             port_filter_prog(), ProgType.XDP)
     bad = registry.publish(EXTENSION, "2.0.0",
                            bad_time_prog(), ProgType.XDP)
-    fleet = SimFleet(size, default_fleet_spec(seed, engine=engine),
+    fleet = SimFleet(size, default_fleet_spec(seed),
                      trusted_key=registry.key)
     fleet.preinstall(baseline)
     telemetry = FleetTelemetry()

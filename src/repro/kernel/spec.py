@@ -1,8 +1,8 @@
 """Declarative kernel construction: :class:`KernelSpec`.
 
 The keyword sprawl this consolidates grew one PR at a time: CPUs on
-the :class:`~repro.kernel.kernel.Kernel` constructor, the execution
-engine on :class:`~repro.ebpf.loader.BpfSubsystem`, run stats behind
+the :class:`~repro.kernel.kernel.Kernel` constructor, the JIT and load
+cache on :class:`~repro.ebpf.loader.BpfSubsystem`, run stats behind
 ``telemetry.enable()``, fault schedules armed imperatively on
 ``kernel.faults``, the supervisor via ``kernel.enable_recovery``.
 Each knob is fine alone; a fleet that must stamp out *hundreds of
@@ -14,7 +14,7 @@ kernels, which is half of what makes a rollout replayable.
 old constructor, now a thin shim that builds a spec from its two
 legacy keywords) boots a kernel and applies the kernel-side fields;
 ``BpfSubsystem.from_spec(kernel, spec)`` applies the subsystem-side
-ones (engine, JIT, load cache).  Fault arms use the same
+ones (JIT, load cache).  Fault arms use the same
 ``SITE=SCHEDULE=ACTION`` strings as ``bpftool fault --arm`` so a
 chaos schedule pastes straight into a fleet config.
 """
@@ -32,16 +32,12 @@ class KernelSpec:
     """Everything needed to stamp out one simulated kernel node.
 
     Frozen (hashable, reusable): the fleet applies one spec to every
-    node in a wave.  ``engine`` is an
-    :class:`~repro.ebpf.engine.Engine`, its string value, or None
-    (subsystem default); it is validated when a subsystem is built
-    from the spec, keeping this module free of the ebpf import cycle.
+    node in a wave.  The execution tier is not part of a node image:
+    each node's VM picks it per program.
     """
 
     #: CPUs the kernel boots with
     nr_cpus: int = 4
-    #: execution tier for subsystems stamped from this spec
-    engine: Optional[object] = None
     #: ``kernel.bpf_stats_enabled`` at boot
     stats_enabled: bool = False
     #: attach the recovery supervisor at boot
@@ -94,8 +90,6 @@ class KernelSpec:
     def describe(self) -> str:
         """One-line form for logs and the fleet CLI."""
         parts = [f"cpus={self.nr_cpus}"]
-        if self.engine is not None:
-            parts.append(f"engine={self.engine}")
         if self.stats_enabled:
             parts.append("stats=on")
         if self.wants_recovery:

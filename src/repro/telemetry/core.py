@@ -210,22 +210,19 @@ class Telemetry:
     def record_load(self, framework: str, name: str, *,
                     prog_id: int = 0, cache_hit: bool = False,
                     verify_ns: int = 0, jit_ns: int = 0,
-                    predecode_ns: int = 0, compile_ns: int = 0,
-                    insns: int = 0,
+                    predecode_ns: int = 0, insns: int = 0,
                     insns_processed: int = 0,
                     states_explored: int = 0) -> None:
         """Record one trip through a framework's loading pipeline."""
         self.prog(framework, name, prog_id).record_load(
             cache_hit=cache_hit, verify_ns=verify_ns, jit_ns=jit_ns,
-            predecode_ns=predecode_ns, compile_ns=compile_ns,
-            insns_processed=insns_processed,
+            predecode_ns=predecode_ns, insns_processed=insns_processed,
             states_explored=states_explored)
         self._loads.labels(
             framework, "hit" if cache_hit else "miss").inc()
         self._stage_ns.labels(framework, "verify").inc(verify_ns)
         self._stage_ns.labels(framework, "jit").inc(jit_ns)
         self._stage_ns.labels(framework, "predecode").inc(predecode_ns)
-        self._stage_ns.labels(framework, "compile").inc(compile_ns)
         if not cache_hit:
             self._verifier_work.labels("insns_processed").inc(
                 insns_processed)
@@ -237,9 +234,16 @@ class Telemetry:
             self._now(), "load", framework, name,
             {"prog_id": prog_id, "cache_hit": cache_hit,
              "insns": insns, "verify_ns": verify_ns, "jit_ns": jit_ns,
-             "predecode_ns": predecode_ns, "compile_ns": compile_ns,
+             "predecode_ns": predecode_ns,
              "insns_processed": insns_processed,
              "states_explored": states_explored}))
+
+    def record_compile(self, framework: str, name: str,
+                       compile_ns: int) -> None:
+        """Record one compile of a loaded program (the VM compiles a
+        program when it moves it to the compiled tier)."""
+        self.prog(framework, name).compile_ns += compile_ns
+        self._stage_ns.labels(framework, "compile").inc(compile_ns)
 
     # -- failure accounting (always on) ------------------------------------------
 

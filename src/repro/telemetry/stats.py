@@ -45,6 +45,7 @@ class ProgStats:
     verify_ns: int = 0
     jit_ns: int = 0
     predecode_ns: int = 0
+    #: recorded by the VM when it compiles the program, not at load
     compile_ns: int = 0
     verifier_insns_processed: int = 0
     verifier_states_explored: int = 0
@@ -64,7 +65,7 @@ class ProgStats:
 
     def record_load(self, *, cache_hit: bool, verify_ns: int = 0,
                     jit_ns: int = 0, predecode_ns: int = 0,
-                    compile_ns: int = 0, insns_processed: int = 0,
+                    insns_processed: int = 0,
                     states_explored: int = 0) -> None:
         """Fold one trip through the load pipeline into the stats."""
         self.loads += 1
@@ -73,7 +74,6 @@ class ProgStats:
         self.verify_ns += verify_ns
         self.jit_ns += jit_ns
         self.predecode_ns += predecode_ns
-        self.compile_ns += compile_ns
         self.verifier_insns_processed += insns_processed
         self.verifier_states_explored += states_explored
 

@@ -13,7 +13,7 @@ Usage (each invocation boots a fresh simulated kernel):
     python -m repro.tools.bpftool bugs list
     python -m repro.tools.bpftool net profiles
     python -m repro.tools.bpftool net run prog.s --profile bursty \
-        --count 10000 --seed 7 --engine compiled --map array:4:8:4
+        --count 10000 --seed 7 --map array:4:8:4
     python -m repro.tools.bpftool fault list
     python -m repro.tools.bpftool fault enable prog.s \
         --arm 'helper.*=prob:0.5=errno:EINVAL' --seed 7 --repeat 10
@@ -51,12 +51,11 @@ from repro.analysis.bugs import full_bug_table
 from repro.ebpf.asm_text import assemble_text
 from repro.ebpf.bugs import BugConfig
 from repro.ebpf.disasm import disasm
-from repro.ebpf.engine import ENGINE_NAMES
 from repro.ebpf.helpers.registry import build_default_registry
+from repro.ebpf.interpreter import ENGINES
 from repro.ebpf.loader import BpfSubsystem
 from repro.ebpf.progs import ProgType
 from repro.errors import (
-    BpfRuntimeError,
     KernelOops,
     KernelSafetyViolation,
     VerifierError,
@@ -211,7 +210,8 @@ def cmd_prog_stats(args) -> int:
 
     Models ``bpftool prog show`` output after
     ``sysctl kernel.bpf_stats_enabled=1``: run_cnt, run_time_ns, and
-    the derived average come straight from the telemetry table.
+    the derived average come straight from the telemetry table.  Each
+    program's current tier and the VM's compile count follow.
     """
     bpf = _load_and_run_with_stats(args)
     if bpf is None:
@@ -227,60 +227,10 @@ def cmd_prog_stats(args) -> int:
               f"{row.watchdog_fires:3d} {row.oopses:4d}")
     print(f"({len(rows)} programs, stats_enabled="
           f"{int(bpf.kernel.telemetry.stats_enabled)})")
-    print(f"engine={bpf.vm.engine} compile_cache: "
-          f"hits={bpf.compile_cache_hits} "
-          f"misses={bpf.compile_cache_misses}")
-    return 0
-
-
-def cmd_prog_engine(args) -> int:
-    """``prog engine``: show or pin a program's execution tier.
-
-    Loads the program (under ``--engine`` if given), optionally pins
-    it to ``--set TIER``, runs it ``--repeat`` times, and prints the
-    effective tier plus compiled-artifact and compile-cache state —
-    the tier is operable, not just benchable.
-    """
-    bpf = _make_subsystem(args)
-    _create_maps(bpf, args.map)
-    program = _read_program(args.file)
-    prog_type = ProgType(args.type)
-    try:
-        prog = bpf.load_program(program, prog_type, args.file)
-    except VerifierError as error:
-        print(f"VERIFICATION FAILED: {error}")
-        return 1
-    if args.set:
-        try:
-            bpf.set_engine(prog, args.set)
-        except BpfRuntimeError as error:
-            print(f"bad engine: {error}", file=sys.stderr)
-            return 2
-    payload = args.payload.encode("latin-1")
-    for _ in range(max(args.repeat, 0)):
-        try:
-            if prog_type in (ProgType.XDP, ProgType.SOCKET_FILTER,
-                             ProgType.CGROUP_SKB):
-                bpf.run_on_packet(prog, payload)
-            else:
-                bpf.run_on_current_task(prog)
-        except KernelSafetyViolation as violation:
-            print(f"KERNEL COMPROMISED: {violation.category}: "
-                  f"{violation}", file=sys.stderr)
-            break
-    pinned = prog.engine is not None
-    effective = prog.engine or bpf.vm.engine
-    print(f"prog {prog.prog_id} ({prog.name}): engine={effective}"
-          f"{' (pinned)' if pinned else ' (vm default)'}")
-    if prog.compiled is not None:
-        print(f"  compiled: {prog.compiled.n_blocks} blocks, "
-              f"{len(prog.compiled.entry_blocks)} entry points, "
-              f"{prog.compiled.n_insns} insns")
-    print(f"  compile cache: hits={bpf.compile_cache_hits} "
-          f"misses={bpf.compile_cache_misses} "
-          f"lazy_compiles={bpf.vm.compiles}")
-    print(f"  vm default={bpf.vm.engine} "
-          f"insns_executed={bpf.vm.insns_executed}")
+    for prog in bpf.all_progs():
+        print(f"prog {prog.prog_id} ({prog.name}): "
+              f"tier={bpf.vm.tier(prog)} runs={prog.runs}")
+    print(f"vm compiles={bpf.vm.compiles}")
     return 0
 
 
@@ -587,7 +537,7 @@ def cmd_net_run(args) -> int:
     summary = plane.summary()
     nic_row = summary["nics"][nic.name]
     print(f"{args.profile} x{offered['offered']} -> {nic.name} "
-          f"(engine={bpf.vm.engine}, seed={args.seed}, "
+          f"(tier={bpf.vm.tier(prog)}, seed={args.seed}, "
           f"batch={args.batch})")
     print("  verdicts: " + (", ".join(
         f"{name}={count}"
@@ -733,8 +683,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--patched", action="store_true",
                         help="use a kernel with all modeled bugs fixed")
     common.add_argument("--engine", default=None,
-                        choices=list(ENGINE_NAMES),
-                        help="execution tier (default: fast)")
+                        choices=list(ENGINES),
+                        help="pin the execution tier (default: the VM "
+                             "picks per program)")
 
     verify = prog_sub.add_parser("verify", parents=[common],
                                  help="run the in-kernel verifier")
@@ -765,14 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", parents=[runnable],
         help="run N times with stats enabled, print per-prog rows")
     prog_stats.set_defaults(func=cmd_prog_stats)
-
-    prog_engine = prog_sub.add_parser(
-        "engine", parents=[runnable],
-        help="show or pin a program's execution tier")
-    prog_engine.add_argument("--set", default=None,
-                             choices=list(ENGINE_NAMES),
-                             help="pin the program to this tier")
-    prog_engine.set_defaults(func=cmd_prog_engine)
 
     faulty = argparse.ArgumentParser(add_help=False,
                                      parents=[runnable])
@@ -849,9 +792,10 @@ def build_parser() -> argparse.ArgumentParser:
     net_run.add_argument("--patched", action="store_true",
                          help="use a kernel with all modeled bugs "
                               "fixed")
-    net_run.add_argument("--engine", default="compiled",
-                         choices=list(ENGINE_NAMES),
-                         help="execution tier (default: compiled)")
+    net_run.add_argument("--engine", default=None,
+                         choices=list(ENGINES),
+                         help="pin the execution tier (default: the VM "
+                              "picks)")
     net_run.add_argument("--profile", default="uniform",
                          choices=list(_PROFILE_NOTES),
                          help="traffic shape (default: uniform)")
@@ -928,9 +872,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fleet size (default 50)")
     fleety.add_argument("--seed", type=int, default=0,
                         help="rollout seed (default 0)")
-    fleety.add_argument("--engine", default=None,
-                        choices=list(ENGINE_NAMES),
-                        help="execution tier for every node")
     fleety.add_argument("--json", action="store_true",
                         help="machine-readable output")
 

@@ -2,8 +2,8 @@
 
 The differential suites prove the compiled tier *behaves* like the
 other engines; these tests pin the machinery itself — block splitting,
-frame entry points, the load-time compile cache, per-program engine
-pinning, and the lazy compile fallback for hand-built programs.
+frame entry points, the VM as the one compile site, artifact sharing
+through the load cache, and the compile for hand-built programs.
 """
 
 import pytest
@@ -11,13 +11,12 @@ import pytest
 from repro.ebpf.asm import Asm
 from repro.ebpf.compile import compile_program, render_source
 from repro.ebpf.helpers import ids
-from repro.ebpf.interpreter import BpfVm
+from repro.ebpf.interpreter import BpfVm, COMPILE_AFTER_RUNS
 from repro.ebpf.isa import R0, R1, R2, R3, R4
 from repro.ebpf.loader import BpfSubsystem, LoadedProgram
 from repro.ebpf.predecode import predecode
 from repro.ebpf.progs import ProgType
 from repro.ebpf.verifier.analyzer import VerifierStats
-from repro.errors import BpfRuntimeError
 from repro.kernel import Kernel
 
 
@@ -78,52 +77,61 @@ class TestBlockStructure:
 
 
 class TestLoaderIntegration:
-    def test_compiled_attached_at_load(self):
+    def test_compiles_on_first_run(self):
         kernel = Kernel()
         bpf = BpfSubsystem(kernel, engine="compiled")
         prog = bpf.load_program(_branchy_program(), ProgType.KPROBE,
                                 "c1")
-        assert prog.compiled is not None
-        assert bpf.compile_cache_misses == 1
-        assert bpf.compile_cache_hits == 0
-        assert bpf.run_on_current_task(prog) == 10
-        # the loader compiled eagerly; the VM never had to
+        # loading never compiles; the VM does, on the first run
+        assert prog.compiled is None
         assert bpf.vm.compiles == 0
+        assert bpf.run_on_current_task(prog) == 10
+        assert prog.compiled is not None
+        assert bpf.vm.compiles == 1
 
     def test_reload_hits_compile_cache(self):
         kernel = Kernel()
         bpf = BpfSubsystem(kernel, engine="compiled")
         first = bpf.load_program(_branchy_program(), ProgType.KPROBE,
                                  "c1")
+        bpf.run_on_current_task(first)
         second = bpf.load_program(_branchy_program(), ProgType.KPROBE,
                                   "c2")
-        assert bpf.compile_cache_misses == 1
-        assert bpf.compile_cache_hits == 1
         assert second.compiled is first.compiled
+        assert bpf.run_on_current_task(second) == 10
+        assert bpf.vm.compiles == 1
 
     def test_backfill_when_cached_under_other_engine(self):
-        # first load under the fast engine caches verify/jit/predecode
-        # artifacts with no compiled function; a compiled-tier reload
-        # of the same bytes compiles once and backfills the entry
+        # the first load runs on a VM pinned to fast, so its cache
+        # entry holds no compiled function; a compiled-tier VM sharing
+        # the cache compiles once on first run and backfills the entry
         kernel = Kernel()
         fast = BpfSubsystem(kernel, engine="fast")
-        fast.load_program(_branchy_program(), ProgType.KPROBE, "c1")
+        fast.run_on_current_task(
+            fast.load_program(_branchy_program(), ProgType.KPROBE, "c1"))
         compiled = BpfSubsystem(kernel, engine="compiled")
         compiled.load_cache = fast.load_cache
         prog = compiled.load_program(_branchy_program(),
                                      ProgType.KPROBE, "c2")
-        assert prog.compiled is not None
-        assert compiled.compile_cache_misses == 1
-        reload = compiled.load_program(_branchy_program(),
-                                       ProgType.KPROBE, "c3")
-        assert compiled.compile_cache_hits == 1
+        assert prog.compiled is None
+        compiled.run_on_current_task(prog)
+        assert compiled.vm.compiles == 1
+        reload = fast.load_program(_branchy_program(), ProgType.KPROBE,
+                                   "c3")
         assert reload.compiled is prog.compiled
+        assert fast.vm.compiles == 0
 
     def test_compile_ns_recorded_in_telemetry(self):
         kernel = Kernel()
-        bpf = BpfSubsystem(kernel, engine="compiled")
-        bpf.load_program(_branchy_program(), ProgType.KPROBE, "c1")
+        bpf = BpfSubsystem(kernel)
+        prog = bpf.load_program(_branchy_program(), ProgType.KPROBE,
+                                "c1")
         row = kernel.telemetry.prog("ebpf", "c1")
+        assert row.loads == 1
+        for __ in range(COMPILE_AFTER_RUNS):
+            bpf.run_on_current_task(prog)
+        assert row.compile_ns == 0
+        bpf.run_on_current_task(prog)
         assert row.compile_ns > 0
         assert "compile_ns" in row.as_dict()
 
@@ -132,35 +140,17 @@ class TestLoaderIntegration:
         bpf = BpfSubsystem(kernel, engine="fast")
         prog = bpf.load_program(_branchy_program(), ProgType.KPROBE,
                                 "c1")
+        for __ in range(COMPILE_AFTER_RUNS + 1):
+            bpf.run_on_current_task(prog)
         assert prog.compiled is None
-        assert bpf.compile_cache_misses == 0
+        assert bpf.vm.compiles == 0
 
 
 class TestEnginePinning:
-    def test_set_engine_pins_one_program(self):
-        kernel = Kernel()
-        bpf = BpfSubsystem(kernel, engine="fast")
-        prog = bpf.load_program(_branchy_program(), ProgType.KPROBE,
-                                "pin")
-        bpf.set_engine(prog, "compiled")
-        assert prog.engine == "compiled"
-        assert prog.compiled is not None   # compiled eagerly
-        assert bpf.run_on_current_task(prog) == 10
-        bpf.set_engine(prog, None)
-        assert prog.engine is None
-        assert bpf.run_on_current_task(prog) == 10
-
-    def test_set_engine_rejects_unknown_tier(self):
-        kernel = Kernel()
-        bpf = BpfSubsystem(kernel)
-        prog = bpf.load_program(_branchy_program(), ProgType.KPROBE,
-                                "pin")
-        with pytest.raises(BpfRuntimeError):
-            bpf.set_engine(prog, "turbo")
-
     def test_vm_rejects_unknown_engine(self):
         kernel = Kernel()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown engine 'turbo'"
+                           ".*'interp', 'fast', 'compiled'"):
             BpfSubsystem(kernel, engine="turbo")
 
     def test_prog_by_id_round_trip(self):
@@ -175,8 +165,8 @@ class TestEnginePinning:
 
 class TestLazyCompile:
     def test_hand_built_program_compiles_once(self):
-        # no loader in the loop: the VM compiles lazily on first run
-        # and reuses the attached artifact afterwards
+        # no loader in the loop: the VM predecodes and compiles on
+        # first run and reuses the attached artifacts afterwards
         kernel = Kernel()
         bpf = BpfSubsystem(kernel)
         vm = BpfVm(kernel, bpf, engine="compiled")
@@ -186,5 +176,7 @@ class TestLazyCompile:
                                  owner="test")
         assert vm.run(prog, ctx.base) == 10
         assert vm.compiles == 1
+        assert prog.predecoded is not None
+        assert prog.cache_entry is None
         assert vm.run(prog, ctx.base) == 10
         assert vm.compiles == 1  # cached on the program object

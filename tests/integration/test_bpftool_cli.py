@@ -165,6 +165,8 @@ class TestStatsCommands:
         assert fields[1] == "ebpf"
         assert fields[2] == "5"          # run_cnt
         assert "stats_enabled=1" in out
+        assert f"({prog_file}): tier=fast runs=5" in out
+        assert "vm compiles=0" in out
 
     def test_prog_stats_verification_failure(self, bad_prog_file,
                                              capsys):
@@ -243,7 +245,7 @@ class TestNetCommands:
                      "--count", "500", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "uniform x500 -> bpftool0" in out
-        assert "engine=compiled" in out
+        assert "tier=compiled" in out     # 500 packets: the VM compiled
         assert "drop=" in out and "pass=" in out
         assert "latency p50=" in out
         assert "signature" in out
@@ -254,7 +256,7 @@ class TestNetCommands:
                      "--profile", "adversarial", "--count", "400",
                      "--engine", "interp"]) == 0
         out = capsys.readouterr().out
-        assert "engine=interp" in out
+        assert "tier=interp" in out
         assert "oversize=" in out    # 512-byte frames exceed the MTU
 
     def test_net_run_seed_determinism(self, xdp_filter_file, capsys):

@@ -61,26 +61,23 @@ class TestBoot:
 
 
 class TestSubsystemSide:
-    def test_from_spec_threads_engine_and_toggles(self, leakcheck):
-        spec = KernelSpec(engine="interp", use_jit=False,
-                          use_load_cache=False)
+    def test_from_spec_threads_toggles(self, leakcheck):
+        spec = KernelSpec(use_jit=False, use_load_cache=False)
         kernel = Kernel.from_spec(spec)
         leakcheck(kernel)
         bpf = BpfSubsystem.from_spec(kernel)
-        assert bpf.vm.engine == "interp"
         assert bpf.use_jit is False
         assert bpf.load_cache is None
 
     def test_from_spec_defaults_to_kernel_spec(self, leakcheck):
-        kernel = Kernel.from_spec(KernelSpec(engine="compiled"))
+        kernel = Kernel.from_spec(KernelSpec(use_jit=False))
         leakcheck(kernel)
         bpf = BpfSubsystem.from_spec(kernel)
-        assert bpf.vm.engine == "compiled"
+        assert bpf.use_jit is False
 
     def test_describe_is_one_line(self):
-        spec = KernelSpec(engine="fast", recovery=True,
-                          stats_enabled=True).with_faults(3, "x=oneshot=panic")
+        spec = KernelSpec(recovery=True, stats_enabled=True).with_faults(
+            3, "x=oneshot=panic")
         text = spec.describe()
-        assert "engine=fast" in text
         assert "recovery=on" in text
         assert "seed=3" in text
