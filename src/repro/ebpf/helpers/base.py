@@ -98,7 +98,7 @@ class HelperCallContext:
         return self.vm.subsystem.map_by_fd(map_fd)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HelperSpec:
     """One helper function: contract, implementation, provenance.
 
@@ -110,7 +110,8 @@ class HelperSpec:
     (pure expressiveness, replaced by language features), ``simplify``
     (kernel interface whose error-prone parts move into safe code),
     ``wrap`` (unsafe code behind a sanitizing safe interface), or
-    ``keep`` (already-minimal accessor).
+    ``keep`` (already-minimal accessor).  Frozen: every kernel built
+    without its own registry shares the same specs.
     """
 
     helper_id: int

@@ -6,11 +6,17 @@ every helper the paper discusses by name) plus catalog entries for the
 rest of the 249, carrying the metadata the measurements need
 (introduction version for Figure 4, call-graph size for Figure 3,
 §3.2 classification for the retirement survey).
+
+Every :class:`~repro.ebpf.loader.BpfSubsystem` built without its own
+registry shares one frozen copy, :func:`shared_registry`: the catalog
+is part of the kernel image, so N kernels (a fleet's nodes) build it
+once, and nothing can register into it after the build.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+import functools
+from typing import Dict, List, Optional
 
 from repro.ebpf.helpers import ids
 from repro.ebpf.helpers import impls_core, impls_net, impls_sys
@@ -27,9 +33,14 @@ class HelperRegistry:
     def __init__(self) -> None:
         self._by_id: Dict[int, HelperSpec] = {}
         self._by_name: Dict[str, HelperSpec] = {}
+        self._frozen = False
 
     def register(self, spec: HelperSpec) -> HelperSpec:
-        """Add a helper; ids and names must be unique."""
+        """Add a helper; ids and names must be unique, and a frozen
+        registry takes no more."""
+        if self._frozen:
+            raise RuntimeError(
+                f"helper registry is frozen; cannot register {spec.name}")
         if spec.helper_id in self._by_id:
             raise ValueError(f"duplicate helper id {spec.helper_id}")
         if spec.name in self._by_name:
@@ -37,6 +48,11 @@ class HelperRegistry:
         self._by_id[spec.helper_id] = spec
         self._by_name[spec.name] = spec
         return spec
+
+    def freeze(self) -> "HelperRegistry":
+        """Refuse every later :meth:`register`; returns the registry."""
+        self._frozen = True
+        return self
 
     def get(self, helper_id: int) -> Optional[HelperSpec]:
         """Spec by id (None for unknown helpers — verifier rejects)."""
@@ -294,3 +310,10 @@ def build_default_registry() -> HelperRegistry:
     for spec in catalog_specs(implemented):
         registry.register(spec)
     return registry
+
+
+@functools.cache
+def shared_registry() -> HelperRegistry:
+    """The process-wide helper catalog: built on first use, then
+    frozen.  Use :func:`build_default_registry` for a writable copy."""
+    return build_default_registry().freeze()

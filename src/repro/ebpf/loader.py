@@ -7,18 +7,22 @@ contexts.  A :class:`VerifierInternalFault` during verification is
 converted into a kernel oops attributed to the verifier, modeling the
 [54] class of bugs where the verifier itself is the vulnerable
 component.
+
+§3's other half is here too: :meth:`BpfSubsystem.certify` is the
+trusted toolchain's check, and a kernel given a ``trusted_key`` loads
+a program without running its own verifier when a certificate from
+that key vouches for this exact load (see :meth:`load_program`).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.ebpf.bugs import BugConfig
 from repro.ebpf.compile import CompiledProgram
-from repro.ebpf.helpers.registry import HelperRegistry, \
-    build_default_registry
+from repro.ebpf.helpers.registry import HelperRegistry, shared_registry
 from repro.ebpf.interpreter import BpfVm
 from repro.ebpf.isa import Insn
 from repro.ebpf.jit import JitResult, jit_compile
@@ -36,7 +40,7 @@ from repro.ebpf.maps import (
 )
 from repro.ebpf.predecode import PredecodedProgram, predecode
 from repro.ebpf.progcache import CachedLoad, ProgramLoadCache, \
-    fingerprint
+    certificate_image, fingerprint
 from repro.ebpf.progs import ProgType
 from repro.ebpf.verifier.analyzer import (
     Verifier,
@@ -47,6 +51,9 @@ from repro.ebpf.verifier.analyzer import (
 from repro.ebpf.verifier.limits import VerifierLimits
 from repro.errors import BpfRuntimeError, KernelOops, VerifierError
 from repro.kernel.kernel import Kernel
+
+if TYPE_CHECKING:
+    from repro.core.signing import SigningKey
 
 
 @dataclass
@@ -86,12 +93,18 @@ class BpfSubsystem:
                  limits: Optional[VerifierLimits] = None,
                  use_jit: bool = True,
                  use_load_cache: bool = True,
-                 engine: Optional[str] = None) -> None:
+                 engine: Optional[str] = None,
+                 trusted_key: Optional["SigningKey"] = None) -> None:
         self.kernel = kernel
-        self.registry = registry or build_default_registry()
+        self.registry = registry if registry is not None \
+            else shared_registry()
         self.bugs = bugs or BugConfig()
         self.limits = limits or VerifierLimits()
         self.use_jit = use_jit
+        #: the signer whose load certificates stand in for a verifier
+        #: run, a credential like the kernel's builtin keyring; None
+        #: trusts no signer
+        self.trusted_key = trusted_key
         #: §3's signature-at-load-time model: accepted bytecode is
         #: keyed by content hash so identical reloads skip the
         #: verifier entirely
@@ -112,6 +125,7 @@ class BpfSubsystem:
                   registry: Optional[HelperRegistry] = None,
                   bugs: Optional[BugConfig] = None,
                   limits: Optional[VerifierLimits] = None,
+                  trusted_key: Optional["SigningKey"] = None,
                   ) -> "BpfSubsystem":
         """Stamp a subsystem from a kernel's declarative
         :class:`~repro.kernel.spec.KernelSpec` (defaults to the spec
@@ -120,7 +134,8 @@ class BpfSubsystem:
         spec = spec if spec is not None else kernel.spec
         return cls(kernel, registry=registry, bugs=bugs,
                    limits=limits, use_jit=spec.use_jit,
-                   use_load_cache=spec.use_load_cache)
+                   use_load_cache=spec.use_load_cache,
+                   trusted_key=trusted_key)
 
     # -- maps -----------------------------------------------------------------
 
@@ -188,13 +203,25 @@ class BpfSubsystem:
 
     # -- program loading (Figure 1: verifier -> JIT) ----------------------------
 
+    def certify(self, insns: Sequence[Insn], prog_type: ProgType) -> str:
+        """The trusted toolchain's check (§3.1): verify ``insns`` under
+        the default load options, the ones a fleet node deploys with,
+        and return that load's key
+        (:func:`~repro.ebpf.progcache.fingerprint`) for a certificate
+        to sign.  Raises :class:`~repro.errors.VerifierError` on
+        rejection; registers no program and JITs nothing."""
+        config = self._verifier_config()
+        self._verify(insns, prog_type, config)
+        return self._load_key(insns, prog_type, config)
+
     def load_program(self, insns: Sequence[Insn], prog_type: ProgType,
                      name: str = "prog", *,
                      allow_ptr_leaks: bool = False,
                      prune_states: bool = True,
                      limits: Optional[VerifierLimits] = None,
                      log_level: int = 1,
-                     unprivileged: bool = False) -> LoadedProgram:
+                     unprivileged: bool = False,
+                     certificate: Optional[str] = None) -> LoadedProgram:
         """Verify and JIT a program.  Raises
         :class:`~repro.errors.VerifierError` on rejection and
         :class:`~repro.errors.KernelOops` if the verifier itself
@@ -204,6 +231,14 @@ class BpfSubsystem:
         outright while ``unprivileged_bpf_disabled`` is set (the [22]
         default), and otherwise verified under the tighter caps with
         pointer leaks always forbidden.
+
+        ``certificate`` is §3's load by signature.  On a load-cache
+        miss the verifier is skipped only when ``trusted_key`` signed
+        the certificate over this load's own key: the bytes, program
+        type, limits, bug config, JIT flag and map shapes.  Any other
+        certificate, or none, and the kernel verifies the program
+        itself.  JIT and predecode still run here, and the stats of a
+        certified load have zero counters and ``certified`` set.
 
         With recovery enabled the trip is supervised: transient
         injected load errnos are retried with backoff, and a verifier
@@ -217,11 +252,47 @@ class BpfSubsystem:
                     insns, prog_type, name,
                     allow_ptr_leaks=allow_ptr_leaks,
                     prune_states=prune_states, limits=limits,
-                    log_level=log_level, unprivileged=unprivileged))
+                    log_level=log_level, unprivileged=unprivileged,
+                    certificate=certificate))
         return self._load_program_raw(
             insns, prog_type, name, allow_ptr_leaks=allow_ptr_leaks,
             prune_states=prune_states, limits=limits,
-            log_level=log_level, unprivileged=unprivileged)
+            log_level=log_level, unprivileged=unprivileged,
+            certificate=certificate)
+
+    def _verifier_config(self, allow_ptr_leaks: bool = False,
+                         prune_states: bool = True,
+                         limits: Optional[VerifierLimits] = None,
+                         log_level: int = 1) -> VerifierConfig:
+        """The verifier configuration of one load request."""
+        return VerifierConfig(
+            limits=limits or self.limits,
+            bugs=self.bugs,
+            allow_ptr_leaks=allow_ptr_leaks,
+            prune_states=prune_states,
+            log_level=log_level,
+        )
+
+    def _load_key(self, insns: Sequence[Insn], prog_type: ProgType,
+                  config: VerifierConfig) -> str:
+        """The load-cache key of one load request, which is also what
+        a load certificate binds."""
+        return fingerprint(insns, prog_type, config, self._maps.items(),
+                           self.use_jit)
+
+    def _verify(self, insns: Sequence[Insn], prog_type: ProgType,
+                config: VerifierConfig) -> VerifierStats:
+        """Run the verifier; a crash inside it becomes an oops
+        attributed to the verifier."""
+        verifier = Verifier(insns, prog_type, self.registry, self._maps,
+                            config)
+        try:
+            return verifier.verify()
+        except VerifierInternalFault as fault:
+            self.kernel.log.record_oops(
+                self.kernel.clock.now_ns, str(fault),
+                category="use-after-free", source="verifier")
+            raise KernelOops(str(fault), source="verifier") from fault
 
     def _load_program_raw(self, insns: Sequence[Insn],
                           prog_type: ProgType, name: str = "prog", *,
@@ -229,7 +300,9 @@ class BpfSubsystem:
                           prune_states: bool = True,
                           limits: Optional[VerifierLimits] = None,
                           log_level: int = 1,
-                          unprivileged: bool = False) -> LoadedProgram:
+                          unprivileged: bool = False,
+                          certificate: Optional[str] = None,
+                          ) -> LoadedProgram:
         faults = self.kernel.faults
         if faults.armed:
             fault = faults.check("load.verify")
@@ -254,19 +327,15 @@ class BpfSubsystem:
                     "(kernel.unprivileged_bpf_disabled=1, see [22])")
             allow_ptr_leaks = False
             limits = limits or VerifierLimits.unprivileged()
-        config = VerifierConfig(
-            limits=limits or self.limits,
-            bugs=self.bugs,
-            allow_ptr_leaks=allow_ptr_leaks,
-            prune_states=prune_states,
-            log_level=log_level,
-        )
+        config = self._verifier_config(allow_ptr_leaks, prune_states,
+                                       limits, log_level)
         cache = self.load_cache
+        trusted = certificate is not None and self.trusted_key is not None
         cache_key: Optional[str] = None
         cached: Optional[CachedLoad] = None
+        if cache is not None or trusted:
+            cache_key = self._load_key(insns, prog_type, config)
         if cache is not None:
-            cache_key = fingerprint(insns, prog_type, config,
-                                    self._maps.items(), self.use_jit)
             cached = cache.lookup(cache_key)
         jit_ns = 0
         predecode_ns = 0
@@ -282,16 +351,14 @@ class BpfSubsystem:
                 f"bpf: verification cache hit for ({name}), "
                 f"skipping verifier")
         else:
-            verifier = Verifier(insns, prog_type, self.registry,
-                                self._maps, config)
-            try:
-                stats = verifier.verify()
-            except VerifierInternalFault as fault:
-                self.kernel.log.record_oops(
-                    self.kernel.clock.now_ns, str(fault),
-                    category="use-after-free", source="verifier")
-                raise KernelOops(str(fault),
-                                 source="verifier") from fault
+            if trusted and self.trusted_key.verify(
+                    certificate_image(cache_key), certificate):
+                # §3.1's load by signature: the trusted toolchain
+                # verified this exact request, so the verifier does
+                # not run here
+                stats = VerifierStats(certified=True)
+            else:
+                stats = self._verify(insns, prog_type, config)
             stage_start = time.perf_counter()
             jit = jit_compile(insns, self.bugs) if self.use_jit \
                 else None
@@ -300,7 +367,7 @@ class BpfSubsystem:
                                 else list(insns))
             predecode_ns = int((time.perf_counter() - jit_done) * 1e9)
             jit_ns = int((jit_done - stage_start) * 1e9)
-            if cache is not None and cache_key is not None:
+            if cache is not None:
                 entry = CachedLoad(stats, jit, decoded)
                 cache.insert(cache_key, entry)
         prog = LoadedProgram(
@@ -322,15 +389,16 @@ class BpfSubsystem:
             else stats.insns_processed,
             states_explored=0 if cached is not None
             else stats.states_explored)
+        checked = "certified" if stats.certified \
+            else f"verified in {stats.insns_processed} steps"
         self.kernel.log.log(
             self.kernel.clock.now_ns,
             f"bpf: loaded prog {prog.prog_id} ({name}) "
-            f"type={prog_type.value} insns={len(prog.insns)} "
-            f"verified in {stats.insns_processed} steps")
+            f"type={prog_type.value} insns={len(prog.insns)} {checked}")
         self.kernel.events.publish(
             "load", source=f"bpf:{name}", prog_id=prog.prog_id,
             prog_type=prog_type.value, insns=len(prog.insns),
-            cache_hit=cached is not None)
+            cache_hit=cached is not None, certified=stats.certified)
         return prog
 
     # -- program management -------------------------------------------------------

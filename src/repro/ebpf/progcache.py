@@ -24,6 +24,12 @@ Only *accepted* programs are cached.  Rejections are re-derived on
 every load: a rejection is cheap to reproduce (the verifier bails
 early), and callers probing the verifier (the attack corpus, the
 experiments) expect a fresh log each time.
+
+The same key is what a trusted toolchain's load certificate signs
+(:func:`certificate_image`): because the key covers every input of the
+verdict, a certificate binds one exact load, and a kernel that computes
+any other key for its load cannot use it (see
+:meth:`repro.ebpf.loader.BpfSubsystem.load_program`).
 """
 
 from __future__ import annotations
@@ -116,6 +122,12 @@ def insns_digest(insns: Iterable[object]) -> str:
         h.update(f"{insn.opcode},{insn.dst},{insn.src},"
                  f"{insn.off},{insn.imm};".encode())
     return h.hexdigest()
+
+
+def certificate_image(load_key: str) -> bytes:
+    """What a load certificate signs: a load key under its own domain
+    tag, so a certificate never verifies as any other signature."""
+    return b"load:" + load_key.encode()
 
 
 def fingerprint(insns: Iterable[object], prog_type: object,

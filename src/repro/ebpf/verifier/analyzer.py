@@ -140,6 +140,9 @@ class VerifierStats:
     #: True when these stats were replayed from the load cache rather
     #: than produced by a fresh verification run
     from_cache: bool = False
+    #: True when a trusted toolchain's certificate stood in for the
+    #: verifier run (every counter is then zero)
+    certified: bool = False
 
 
 class _WalkRecord:

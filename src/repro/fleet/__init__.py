@@ -8,7 +8,9 @@ back by the control plane, not by an in-kernel verifier.  This package
 models that control plane over hundreds of simulated kernels:
 
 * :mod:`repro.fleet.services` — the pure core: a release registry
-  that content-hashes and signs extension images
+  that verifies each extension image once through a toolchain booted
+  from the fleet's node image, then certifies, content-hashes and
+  signs it, so nodes load it by signature
   (:class:`~repro.fleet.services.registry.ReleaseRegistry`), a
   staged-rollout planner (1% → 10% → 50% → 100% waves,
   :class:`~repro.fleet.services.planner.RolloutPlanner`), a canary

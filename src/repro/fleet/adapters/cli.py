@@ -87,6 +87,7 @@ def cmd_fleet_status(args: object) -> int:
             if fleet.current_release(node_id) == release.release_id)
         print(f"  {release.release_id:24s} "
               f"hash={release.content_hash[:12]} "
+              f"cert={release.certificate[:12]} "
               f"sig={release.signature[:12]} running={running}")
     return 0
 

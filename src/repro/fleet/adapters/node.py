@@ -3,10 +3,11 @@
 A :class:`FleetNode` owns one :class:`~repro.kernel.kernel.Kernel`
 (stamped from the fleet's shared
 :class:`~repro.kernel.spec.KernelSpec`) and the small amount of agent
-state a real fleet daemon would keep: the trusted verification key,
-the release currently running, the one before it (the rollback
-target).  Health is *not* polled out of supervisor internals — the
-node subscribes to its own kernel's event stream and tracks the last
+state a real fleet daemon would keep: the trusted verification key
+(which the node's kernel also trusts for load certificates), the
+release currently running, the one before it (the rollback target).
+Health is *not* polled out of supervisor internals — the node
+subscribes to its own kernel's event stream and tracks the last
 ``health`` transition for the running release's tag, exactly what an
 external agent could see.
 """
@@ -18,7 +19,6 @@ from typing import Dict, Optional
 
 from repro.core.signing import SigningKey
 from repro.ebpf.loader import BpfSubsystem
-from repro.ebpf.progcache import insns_digest
 from repro.errors import ReproError
 from repro.fleet.ports import DeployResult
 from repro.kernel import Kernel, KernelSpec
@@ -38,10 +38,12 @@ class FleetNode:
                  trusted_key: SigningKey,
                  funcdb: Optional[object] = None) -> None:
         """Boot one node from the fleet image ``spec``; the node
-        trusts releases signed by ``trusted_key``."""
+        trusts releases, and its kernel load certificates, signed by
+        ``trusted_key``."""
         self.node_id = node_id
         self.kernel = Kernel.from_spec(spec, funcdb=funcdb)
-        self.bpf = BpfSubsystem.from_spec(self.kernel)
+        self.bpf = BpfSubsystem.from_spec(self.kernel,
+                                          trusted_key=trusted_key)
         self.trusted_key = trusted_key
         #: the release currently attached (None before preinstall)
         self.current: Optional[object] = None
@@ -69,16 +71,20 @@ class FleetNode:
     # -- deployment -----------------------------------------------------------
 
     def deploy(self, release: object) -> DeployResult:
-        """Verify, load and attach one release.  The node re-checks
-        the signature itself (§3.1's load-time check): a registry
-        compromise upstream must not turn into code in this kernel."""
+        """Check, load and attach one release (§3.1's load-time check).
+
+        The agent re-checks the content hash and signature itself, so
+        a registry compromise upstream, or a certificate altered in
+        flight, is refused as ``signature`` before anything loads.  The
+        kernel then loads by signature: the release's load certificate
+        stands in for the verifier when it vouches for this node's own
+        load key, and a node whose image differs verifies the program
+        itself."""
         if self.kernel.log.panicked:
             return DeployResult(self.node_id, release.release_id,
                                 ok=False, error="dead",
                                 detail="kernel panicked")
-        if insns_digest(release.insns) != release.content_hash \
-                or not self.trusted_key.verify(release.image_bytes(),
-                                               release.signature):
+        if not release.verify(self.trusted_key):
             self.deploy_failed = True
             return DeployResult(self.node_id, release.release_id,
                                 ok=False, error="signature",
@@ -87,7 +93,7 @@ class FleetNode:
         try:
             prog = self.bpf.load_program(
                 list(release.insns), release.prog_type,
-                name=release.name)
+                name=release.name, certificate=release.certificate)
         except ReproError as exc:
             self.deploy_failed = True
             return DeployResult(self.node_id, release.release_id,
@@ -121,8 +127,9 @@ class FleetNode:
         ``soft_reset`` its tag — clearing the scoped taint *and* the
         supervisor's circuit breaker (half-open trial, quarantine
         backoff) so the restored program starts HEALTHY — then
-        redeploy the prior image (a content-hash cache hit: no
-        re-verification)."""
+        redeploy the prior image through :meth:`deploy` (a load-cache
+        hit, or its certificate once the cache has evicted it: no
+        re-verification on a node of the fleet's image)."""
         if self.previous is None or self.kernel.log.panicked:
             return None
         suspect, target = self.current, self.previous

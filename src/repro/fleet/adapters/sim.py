@@ -17,6 +17,10 @@ extension:
 The fault arm rides in the *spec* (the fleet's chaos schedule), not
 the release: the same machines run the good release cleanly, which is
 exactly what makes the canary signal differential.
+
+The registry's toolchain is booted from the same spec
+(:func:`boot_toolchain`), so each release's load certificate binds the
+load key every node computes: no node runs its verifier on a release.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.core.signing import SigningKey
 from repro.ebpf.asm import Asm
 from repro.ebpf.helpers import ids
 from repro.ebpf.isa import R0
+from repro.ebpf.loader import BpfSubsystem
 from repro.ebpf.progs import ProgType
 from repro.fleet.adapters.node import FleetNode
 from repro.fleet.ports import DeployResult, FleetPort
@@ -35,7 +40,7 @@ from repro.fleet.services.aggregate import FleetTelemetry
 from repro.fleet.services.orchestrator import RolloutOrchestrator
 from repro.fleet.services.registry import Release, ReleaseRegistry
 from repro.fleet.transport import FleetTransport, RetryPolicy
-from repro.kernel import KernelSpec
+from repro.kernel import Kernel, KernelSpec
 from repro.net.programs import XDP_PASS, pass_all_prog, port_filter_prog
 
 #: the helper site the fleet image arms as its planted failure mode
@@ -63,6 +68,13 @@ def default_fleet_spec(seed: int) -> KernelSpec:
     no probability involved), seeded from the rollout seed."""
     return KernelSpec(nr_cpus=2, recovery=True).with_faults(
         seed, f"{TRIGGER_SITE}=every:1=panic")
+
+
+def boot_toolchain(spec: KernelSpec) -> BpfSubsystem:
+    """The trusted toolchain's verifier for a fleet of ``spec`` nodes:
+    a subsystem booted from the node image exactly as a node boots
+    (it certifies releases; it trusts no certificate itself)."""
+    return BpfSubsystem.from_spec(Kernel.from_spec(spec))
 
 
 class SimFleet(FleetPort):
@@ -170,21 +182,22 @@ class FleetScenario:
 def build_scenario(size: int, seed: int,
                    retry_policy: Optional[RetryPolicy] = None,
                    ) -> FleetScenario:
-    """Assemble the canonical fleet: publish the three releases,
-    stamp the fleet from :func:`default_fleet_spec`, preinstall the
-    baseline, attach the telemetry aggregator, wire the control
-    channel and the orchestrator.  The transport's fault plane is
-    seeded and enabled (but unarmed — arm a schedule on
-    ``scenario.transport.plane`` to put the channel under fire)."""
-    registry = ReleaseRegistry()
+    """Assemble the canonical fleet: boot the toolchain and publish
+    the three releases, stamp the fleet from
+    :func:`default_fleet_spec`, preinstall the baseline, attach the
+    telemetry aggregator, wire the control channel and the
+    orchestrator.  The transport's fault plane is seeded and enabled
+    (but unarmed — arm a schedule on ``scenario.transport.plane`` to
+    put the channel under fire)."""
+    spec = default_fleet_spec(seed)
+    registry = ReleaseRegistry(boot_toolchain(spec))
     baseline = registry.publish(EXTENSION, "1.0.0",
                                 pass_all_prog(), ProgType.XDP)
     good = registry.publish(EXTENSION, "1.1.0",
                             port_filter_prog(), ProgType.XDP)
     bad = registry.publish(EXTENSION, "2.0.0",
                            bad_time_prog(), ProgType.XDP)
-    fleet = SimFleet(size, default_fleet_spec(seed),
-                     trusted_key=registry.key)
+    fleet = SimFleet(size, spec, trusted_key=registry.key)
     fleet.preinstall(baseline)
     telemetry = FleetTelemetry()
     telemetry.observe(fleet)

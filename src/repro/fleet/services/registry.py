@@ -1,8 +1,8 @@
 """Signed release images: the fleet's unit of deployment.
 
-§3.1's trusted toolchain signs an extension once; every kernel then
-checks the signature instead of re-verifying the program.  A
-:class:`Release` is that signed artifact at fleet scale: a named,
+§3.1's trusted toolchain checks and signs an extension once; every
+kernel then checks the signature instead of re-verifying the program.
+A :class:`Release` is that signed artifact at fleet scale: a named,
 versioned bytecode image whose content hash (the same per-instruction
 serialization the load cache keys on —
 :func:`repro.ebpf.progcache.insns_digest`) is bound to its name and
@@ -11,6 +11,13 @@ version and HMAC-signed by the registry's
 (here: the same deterministic key) and refuse anything that does not
 verify — a tampered image or a signature lifted from another version
 both fail closed.
+
+``publish`` is the toolchain's check.  It verifies the bytecode once,
+on a subsystem booted from the fleet's node image, and signs a load
+certificate over the load key the toolchain verified under.  A node
+whose kernel trusts the registry key and computes that same key for
+its own load skips its verifier; any node whose verdict inputs differ
+computes another key and verifies the release itself.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.signing import SigningKey
-from repro.ebpf.progcache import insns_digest
+from repro.ebpf.progcache import certificate_image, insns_digest
 
 
 @dataclass(frozen=True)
@@ -39,6 +46,9 @@ class Release:
     #: SHA-256 over the instruction fields (see
     #: :func:`~repro.ebpf.progcache.insns_digest`)
     content_hash: str
+    #: HMAC-SHA256 over the load key the toolchain verified under
+    #: (:func:`~repro.ebpf.progcache.certificate_image`)
+    certificate: str
     #: id of the key that signed this release
     key_id: str
     #: HMAC-SHA256 over :meth:`image_bytes`
@@ -50,12 +60,20 @@ class Release:
         return f"{self.name}@{self.version}"
 
     def image_bytes(self) -> bytes:
-        """The canonical signed image: name, version and content hash
-        — binding the signature to *this* version of *this* extension,
-        not just to the bytes."""
+        """The canonical signed image: name, version, content hash and
+        load certificate — binding the signature to *this* version of
+        *this* extension, not just to the bytes."""
         return (f"{self.name}@{self.version}:"
                 f"{getattr(self.prog_type, 'value', self.prog_type)}:"
-                f"{self.content_hash}").encode()
+                f"{self.content_hash}:{self.certificate}").encode()
+
+    def verify(self, key: SigningKey) -> bool:
+        """True when the content hash matches the bytecode (a re-hashed
+        image catches bytecode swapped under a valid signature) *and*
+        the signature checks out against ``key``."""
+        if insns_digest(self.insns) != self.content_hash:
+            return False
+        return key.verify(self.image_bytes(), self.signature)
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-able summary (no bytecode)."""
@@ -67,44 +85,58 @@ class Release:
             "content_hash": self.content_hash,
             "key_id": self.key_id,
             "signature": self.signature,
+            "certificate": self.certificate,
         }
 
 
 class ReleaseRegistry:
     """The trusted toolchain's release store.
 
-    ``publish`` hashes and signs; ``verify`` is what every node (and
-    the orchestrator, before it wastes a rollout on a forgery) runs
-    against the registry key.  Deterministic: the same name, version
-    and bytecode always produce the same signed release.
+    ``publish`` verifies, certifies and signs; ``verify`` is what the
+    orchestrator runs against the registry key before it wastes a
+    rollout on a forgery (each node runs the same
+    :meth:`Release.verify` against the key it trusts).  Deterministic:
+    the same name, version and bytecode always produce the same signed
+    release.
     """
 
-    def __init__(self, key: Optional[SigningKey] = None) -> None:
-        """Create a registry; ``key`` defaults to the deterministic
-        fleet toolchain key."""
+    def __init__(self, toolchain: object,
+                 key: Optional[SigningKey] = None) -> None:
+        """Create a registry over ``toolchain``, an eBPF subsystem
+        booted from the fleet's node image (anything with
+        ``certify(insns, prog_type) -> load key``); ``key`` defaults to
+        the deterministic fleet toolchain key."""
+        self.toolchain = toolchain
         self.key = key or SigningKey.generate("fleet-toolchain")
         self._releases: Dict[str, Release] = {}
 
     def publish(self, name: str, version: str,
                 insns: Sequence[object],
                 prog_type: object) -> Release:
-        """Hash, sign and store one release; returns it.  Re-publishing
-        an existing ``name@version`` with different content is refused
-        — releases are immutable."""
+        """Verify, certify, sign and store one release; returns it.
+
+        A program the toolchain rejects raises its
+        :class:`~repro.errors.VerifierError` and nothing is stored.
+        Re-publishing an existing ``name@version`` returns the stored
+        release without a second toolchain run, and with different
+        content it is refused — releases are immutable."""
         content_hash = insns_digest(insns)
+        existing = self._releases.get(f"{name}@{version}")
+        if existing is not None:
+            if existing.content_hash != content_hash \
+                    or existing.prog_type != prog_type:
+                raise ValueError(
+                    f"release {existing.release_id} already published "
+                    "with different content")
+            return existing
+        load_key = self.toolchain.certify(insns, prog_type)
         release = Release(
             name=name, version=version, prog_type=prog_type,
             insns=tuple(insns), content_hash=content_hash,
+            certificate=self.key.sign(certificate_image(load_key)),
             key_id=self.key.key_id, signature="")
         release = replace(
             release, signature=self.key.sign(release.image_bytes()))
-        existing = self._releases.get(release.release_id)
-        if existing is not None:
-            if existing.signature != release.signature:
-                raise ValueError(
-                    f"release {release.release_id} already published "
-                    "with different content")
-            return existing
         self._releases[release.release_id] = release
         return release
 
@@ -119,14 +151,9 @@ class ReleaseRegistry:
         return release
 
     def verify(self, release: Release) -> bool:
-        """True when the release's signature checks out against the
-        registry key *and* its content hash matches its bytecode (a
-        re-hashed image catches bytecode swapped under a valid
-        signature)."""
-        if insns_digest(release.insns) != release.content_hash:
-            return False
-        return self.key.verify(release.image_bytes(),
-                               release.signature)
+        """True when the release checks out against the registry key
+        (see :meth:`Release.verify`)."""
+        return release.verify(self.key)
 
     def releases(self) -> List[Release]:
         """Every published release, in publish order."""

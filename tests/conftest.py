@@ -9,10 +9,14 @@ anyway.
 
 Tests that *deliberately* leave a kernel unbalanced (attack replays,
 teardown-order tests) opt out with ``@pytest.mark.dirty_kernel``.
+
+``verify_calls`` counts verifier runs, for the tests that check a
+load was certified rather than verified.
 """
 
 import pytest
 
+from repro.ebpf.verifier.analyzer import Verifier
 from repro.faultinject.invariants import kernel_violations
 
 
@@ -68,3 +72,17 @@ def leakcheck(request):
         return
     for kernel in kernels:
         assert_kernel_isolated(kernel)
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Every ``Verifier.verify`` run during the test, in order."""
+    calls = []
+    original = Verifier.verify
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Verifier, "verify", counted)
+    return calls

@@ -1,5 +1,6 @@
 """Helper-implementation tests: behaviours and Table 1 bug paths."""
 
+import dataclasses
 import struct
 
 import pytest
@@ -7,6 +8,9 @@ import pytest
 from repro.ebpf.asm import Asm
 from repro.ebpf.bugs import BugConfig
 from repro.ebpf.helpers import ids
+from repro.ebpf.helpers.base import FuncProto, HelperSpec, RetType
+from repro.ebpf.helpers.registry import build_default_registry, \
+    shared_registry
 from repro.ebpf.isa import R0, R1, R2, R3, R4, R5, R6, R10
 from repro.ebpf.loader import BpfSubsystem
 from repro.ebpf.progs import ProgType
@@ -390,14 +394,40 @@ class TestRegistryPopulation:
                      "bpf_sk_lookup_tcp", "bpf_task_storage_get"):
             assert bpf.registry.by_name(name) is not None
 
-    def test_duplicate_registration_rejected(self, bpf):
-        from repro.ebpf.helpers.base import FuncProto, HelperSpec, \
-            RetType
-        spec = bpf.registry.by_name("bpf_loop")
+    def test_duplicate_registration_rejected(self):
+        registry = build_default_registry()
+        spec = registry.by_name("bpf_loop")
         clone = HelperSpec(spec.helper_id, "bpf_clone",
                            FuncProto([], RetType.INTEGER))
         with pytest.raises(ValueError):
-            bpf.registry.register(clone)
+            registry.register(clone)
+
+
+class TestSharedCatalog:
+    def test_default_subsystems_share_one_frozen_catalog(self):
+        first = BpfSubsystem(Kernel())
+        second = BpfSubsystem(Kernel())
+        assert first.registry is second.registry
+        assert first.registry is shared_registry()
+        extra = HelperSpec(9999, "bpf_extra",
+                           FuncProto([], RetType.INTEGER))
+        with pytest.raises(RuntimeError, match="frozen"):
+            first.registry.register(extra)
+        assert first.registry.by_name("bpf_extra") is None
+
+    def test_default_registry_is_a_fresh_writable_copy(self):
+        registry = build_default_registry()
+        assert registry is not shared_registry()
+        assert len(registry) == len(shared_registry()) == 249
+        registry.register(HelperSpec(9999, "bpf_extra",
+                                     FuncProto([], RetType.INTEGER)))
+        assert len(registry) == 250
+        assert shared_registry().by_name("bpf_extra") is None
+
+    def test_specs_are_immutable(self):
+        spec = shared_registry().by_name("bpf_loop")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.impl = None
 
 
 class TestNewerHelpers:

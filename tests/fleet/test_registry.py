@@ -12,9 +12,9 @@ from repro.net.programs import pass_all_prog, port_filter_prog
 
 
 @pytest.fixture
-def registry():
+def registry(toolchain):
     """A fresh registry with the deterministic toolchain key."""
-    return ReleaseRegistry()
+    return ReleaseRegistry(toolchain)
 
 
 class TestPublish:
@@ -26,11 +26,11 @@ class TestPublish:
         assert release.key_id == registry.key.key_id
         assert registry.verify(release)
 
-    def test_publish_is_deterministic(self):
-        a = ReleaseRegistry().publish("fw", "1.0.0", pass_all_prog(),
-                                      ProgType.XDP)
-        b = ReleaseRegistry().publish("fw", "1.0.0", pass_all_prog(),
-                                      ProgType.XDP)
+    def test_publish_is_deterministic(self, toolchain):
+        a = ReleaseRegistry(toolchain).publish(
+            "fw", "1.0.0", pass_all_prog(), ProgType.XDP)
+        b = ReleaseRegistry(toolchain).publish(
+            "fw", "1.0.0", pass_all_prog(), ProgType.XDP)
         assert a.signature == b.signature
         assert a.content_hash == b.content_hash
 
@@ -69,9 +69,9 @@ class TestVerify:
         forged = dataclasses.replace(v1, version="2.0.0")
         assert not registry.verify(forged)
 
-    def test_foreign_key_fails_verification(self, registry):
+    def test_foreign_key_fails_verification(self, registry, toolchain):
         release = registry.publish("fw", "1.0.0", pass_all_prog(),
                                    ProgType.XDP)
         other = ReleaseRegistry(
-            key=SigningKey.generate("rogue-toolchain"))
+            toolchain, key=SigningKey.generate("rogue-toolchain"))
         assert not other.verify(release)

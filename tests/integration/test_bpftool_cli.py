@@ -330,3 +330,25 @@ class TestRecoveryCommands:
     def test_bad_arm_spec_rejected(self, prog_file, capsys):
         assert main(["prog", "health", prog_file,
                      "--arm", "nonsense"]) == 2
+
+
+class TestFleetCommands:
+    def test_fleet_status_shows_certificates(self, capsys):
+        assert main(["fleet", "status", "--nodes", "4", "--seed", "1"]) \
+            == 0
+        out = capsys.readouterr().out
+        assert "census: healthy:4" in out
+        rows = [line for line in out.splitlines()
+                if line.startswith("  xdp-filter@")]
+        assert len(rows) == 3
+        assert all(" cert=" in row and " sig=" in row for row in rows)
+
+    def test_fleet_status_json_carries_certificates(self, capsys):
+        import json
+        assert main(["fleet", "status", "--nodes", "4", "--json"]) == 0
+        releases = json.loads(capsys.readouterr().out)["releases"]
+        assert [r["release_id"] for r in releases] == [
+            "xdp-filter@1.0.0", "xdp-filter@1.1.0", "xdp-filter@2.0.0"]
+        certificates = [r["certificate"] for r in releases]
+        assert all(len(c) == 64 for c in certificates)
+        assert len(set(certificates)) == 3
