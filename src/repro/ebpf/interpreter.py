@@ -276,7 +276,7 @@ class BpfVm:
             try:
                 return self._run_frame(0, [0] * 11, ctx_addr, depth=0)
             except TailCallRequest as req:
-                return self._finish_tail_calls(req, ctx_addr)
+                return self._finish_tail_calls(req.prog, ctx_addr)
         finally:
             self._current_prog = None
             cpu.preempt_enable()
@@ -309,9 +309,10 @@ class BpfVm:
             self._compiled = self._compiled_for(prog) \
                 if tier == "compiled" else None
 
-    def _finish_tail_calls(self, req: TailCallRequest,
+    def _finish_tail_calls(self, prog: LoadedProgram,
                            ctx_addr: int) -> int:
-        """Service a tail-call chain, honouring the chain limit."""
+        """Service a tail-call chain starting at ``prog``, honouring
+        the chain limit."""
         tail_calls = 0
         while True:
             tail_calls += 1
@@ -319,12 +320,15 @@ class BpfVm:
                 raise BpfRuntimeError(
                     "tail call chain exceeded "
                     f"{self.subsystem.limits.max_tail_calls}")
-            req.prog.runs += 1
-            self._activate(req.prog)
+            prog.runs += 1
+            self._activate(prog)
             try:
                 return self._run_frame(0, [0] * 11, ctx_addr, depth=0)
-            except TailCallRequest as next_req:
-                req = next_req
+            except TailCallRequest as req:
+                # keep the program, not the request: a request held
+                # past its except block would sit in a cycle with its
+                # own traceback, keeping the target program alive
+                prog = req.prog
 
     def take_redirect(self) -> Optional[int]:
         """Consume the redirect target stashed by the most recent
@@ -375,7 +379,7 @@ class BpfVm:
                 return self._run_frame(0, [0] * 11, ctx_addr, depth=0)
             except TailCallRequest as req:
                 try:
-                    return self._finish_tail_calls(req, ctx_addr)
+                    return self._finish_tail_calls(req.prog, ctx_addr)
                 finally:
                     # the next packet starts at the root program
                     self._activate(prog)

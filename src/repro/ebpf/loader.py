@@ -12,11 +12,19 @@ component.
 trusted toolchain's check, and a kernel given a ``trusted_key`` loads
 a program without running its own verifier when a certificate from
 that key vouches for this exact load (see :meth:`load_program`).
+
+A loaded program lives as long as something refers to it: the
+caller's :class:`LoadedProgram` handle, a hook attachment, the data
+plane's :class:`~repro.net.pipeline.XdpHook` or a prog-array slot.
+The subsystem's program table only indexes live programs, so the last
+of those references going away frees the program and its artifacts,
+as ``bpf_prog_put`` does.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -58,7 +66,10 @@ if TYPE_CHECKING:
 
 @dataclass
 class LoadedProgram:
-    """A verified, JIT-compiled program ready to run."""
+    """A verified, JIT-compiled program ready to run.
+
+    This handle is one of the program's references: drop it, and every
+    attachment, and the program is freed."""
 
     prog_id: int
     name: str
@@ -111,9 +122,18 @@ class BpfSubsystem:
         self.load_cache: Optional[ProgramLoadCache] = \
             ProgramLoadCache() if use_load_cache else None
         self._maps: Dict[int, BpfMap] = {}
-        self._progs: Dict[int, LoadedProgram] = {}
+        #: live programs by id.  The table does not own them: CPython's
+        #: reference count is the program's refcount, so a program is
+        #: freed on its last put and drops out of here with no side
+        #: effect.  Ids only grow, so a freed id is never reissued.
+        self._progs: weakref.WeakValueDictionary[int, LoadedProgram] = \
+            weakref.WeakValueDictionary()
         self._next_fd = 3
         self._next_prog_id = 1
+        #: loads this kernel's own verifier checked, accepted or not
+        #: (certified loads and cache hits skip it); only grows, so it
+        #: still counts programs freed since
+        self.verifier_runs = 0
         self.vm = BpfVm(kernel, self, self.bugs, engine=engine)
         #: the [22] sysctl: the kernel community's response to
         #: verifier distrust was to disallow unprivileged loading
@@ -358,6 +378,7 @@ class BpfSubsystem:
                 # not run here
                 stats = VerifierStats(certified=True)
             else:
+                self.verifier_runs += 1
                 stats = self._verify(insns, prog_type, config)
             stage_start = time.perf_counter()
             jit = jit_compile(insns, self.bugs) if self.use_jit \
@@ -404,12 +425,12 @@ class BpfSubsystem:
     # -- program management -------------------------------------------------------
 
     def prog_by_id(self, prog_id: int) -> Optional[LoadedProgram]:
-        """Resolve a loaded program id."""
+        """Resolve a live program id (None once the program is freed)."""
         return self._progs.get(prog_id)
 
     def all_progs(self) -> List[LoadedProgram]:
-        """Every loaded program, in load order."""
-        return [self._progs[pid] for pid in sorted(self._progs)]
+        """Every live program, in load order."""
+        return [prog for __, prog in sorted(self._progs.items())]
 
     # -- execution ---------------------------------------------------------------
 

@@ -739,7 +739,9 @@ class ProgArrayMap(BpfMap):
     def __init__(self, kernel: Kernel, map_fd: int,
                  max_entries: int) -> None:
         super().__init__(kernel, map_fd, 4, 4, max_entries)
-        self._progs: Dict[int, object] = {}  # index -> LoadedProgram
+        #: index -> LoadedProgram; each slot is a reference that
+        #: keeps its program loaded
+        self._progs: Dict[int, object] = {}
 
     def set_prog(self, index: int, prog: object) -> None:
         """Install a program at ``index``."""
@@ -750,6 +752,12 @@ class ProgArrayMap(BpfMap):
     def get_prog(self, index: int) -> Optional[object]:
         """The program at ``index``, if any."""
         return self._progs.get(index)
+
+    def destroy(self) -> None:
+        """See :meth:`BpfMap.destroy` — also drops every slot's
+        reference, so a program the array alone held is freed."""
+        self._progs.clear()
+        super().destroy()
 
     def lookup_addr(self, key: bytes) -> Optional[int]:
         """See :meth:`BpfMap.lookup_addr`."""

@@ -23,13 +23,11 @@ from repro.fleet.adapters.sim import FleetScenario, build_scenario
 
 
 def node_verifier_runs(scenario: FleetScenario) -> int:
-    """Programs loaded on the fleet's nodes that the node's own
-    verifier checked: neither certified nor a load-cache hit (the
-    harness may inspect nodes)."""
-    return sum(1 for node in scenario.fleet.nodes()
-               for prog in node.bpf.all_progs()
-               if not (prog.verifier_stats.certified
-                       or prog.verifier_stats.from_cache))
+    """Loads on the fleet's nodes that the node's own verifier checked:
+    neither certified nor a load-cache hit.  Each node counts them as
+    they run, so a program freed since, such as a release rolled back,
+    still counts (the harness may inspect nodes)."""
+    return sum(node.bpf.verifier_runs for node in scenario.fleet.nodes())
 
 
 def run_fleet(seed: int = 7, nodes: int = 200) -> Report:

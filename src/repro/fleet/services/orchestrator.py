@@ -347,6 +347,9 @@ class RolloutOrchestrator:
                 args=args))
             self._journal.append_op(key, outcome.as_dict(),
                                     _encode_value(outcome.value))
+            # journaled: neither a retry nor a resume sends this key
+            # again, so the node can retire its cached reply
+            self.transport.acknowledge(key)
             self._appended += 1
             self._crash_point()
         return outcome

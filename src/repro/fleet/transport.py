@@ -33,7 +33,10 @@ all its retries, and the server side keeps a durable reply cache keyed
 by it — a duplicated or retried ``deploy`` is absorbed by the cache
 instead of double-applying.  (The cache models the node agent's
 on-disk op journal: a real fleet daemon persists exactly this so that
-redelivery after an ack loss is safe.)
+redelivery after an ack loss is safe.)  A cached reply is retired once
+the client acknowledges that it has journaled the operation
+(:meth:`FleetTransport.acknowledge`), since the id is never sent
+again after that, so the cache holds only operations in flight.
 """
 
 from __future__ import annotations
@@ -178,13 +181,12 @@ class FleetTransport:
         self.seed = seed
         self._jitter = Random(f"fleet-rpc-jitter:{seed}")
         #: durable server-side reply cache, by request id (the node
-        #: agent's op journal — survives agent crashes)
+        #: agent's op journal — survives agent crashes), until the
+        #: client acknowledges the id
         self._replies: Dict[str, RpcOutcome] = {}
         #: node-id -> control-clock time its crashed agent reboots
         self._down_until: Dict[str, int] = {}
         self.stats = TransportStats()
-        #: every delivered outcome, in order (debugging/tests)
-        self.log: List[RpcOutcome] = []
 
     # -- passthroughs (control-plane metadata, not node RPCs) ---------------
 
@@ -215,20 +217,24 @@ class FleetTransport:
             if not self._deliver_reply(request):
                 self._give_up_attempt(attempt)
                 continue
-            final = RpcOutcome(
+            return RpcOutcome(
                 request_id=request.request_id, method=request.method,
                 node_id=request.node_id, ok=reply.ok,
                 value=reply.value, error=reply.error,
                 attempts=attempt)
-            self.log.append(final)
-            return final
         self.stats.unreachable += 1
-        final = RpcOutcome(
+        return RpcOutcome(
             request_id=request.request_id, method=request.method,
             node_id=request.node_id, ok=False, error="unreachable",
             attempts=attempt)
-        self.log.append(final)
-        return final
+
+    def acknowledge(self, request_id: str) -> None:
+        """The client has journaled ``request_id``'s outcome, so it
+        will never send that id again: the node retires its cached
+        reply.  The acknowledgement rides on the client's next message
+        to the node, so it costs no RPC, no control-clock time and no
+        fault-plane check."""
+        self._replies.pop(request_id, None)
 
     def _give_up_attempt(self, attempt: int) -> None:
         """Burn the rest of the attempt's deadline, then back off."""

@@ -25,6 +25,10 @@ so the index stays flat over runs of any length:
   :data:`QUARANTINE_BYTES` (KASAN's design).  Once later frees push it
   out it leaves the index, and since addresses are never reused for
   other types, a late access to it faults as a wild access.
+
+A freed range keeps its base, size, type and owner but not its bytes:
+``kfree`` drops them, since every access to a freed range faults (or
+is refused) before it would read them.
 """
 
 from __future__ import annotations
@@ -155,6 +159,7 @@ class KernelAddressSpace:
                 f"double free of {alloc.type_name} at {alloc.base:#x}",
                 address=alloc.base, source=alloc.owner))
         alloc.freed = True
+        alloc.data = bytearray()
         self._live_bytes -= alloc.size
         # The range stays indexed so later accesses report use-after-
         # free instead of a wild access: a stack until the next run

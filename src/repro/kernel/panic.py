@@ -18,8 +18,13 @@ containment itself fails or the oops budget is exhausted).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Callable, Deque, Iterable, List, Optional, Union
+
+#: records the kernel log keeps, like dmesg's ``log_buf_len``: once it
+#: is full, each new record overwrites the oldest
+LOG_BUF_RECORDS = 1024
 
 
 @dataclass
@@ -52,10 +57,14 @@ class OopsRecord:
 
 
 class KernelLog:
-    """An append-only kernel message buffer plus oops bookkeeping."""
+    """A fixed-size kernel message ring plus oops bookkeeping.
+
+    ``records`` keeps the latest :data:`LOG_BUF_RECORDS` lines, as the
+    kernel's ring buffer does; ``oopses`` keeps every oops, because
+    taint and the containment budget are computed from it."""
 
     def __init__(self) -> None:
-        self.records: List[LogRecord] = []
+        self.records: Deque[LogRecord] = deque(maxlen=LOG_BUF_RECORDS)
         self.oopses: List[OopsRecord] = []
         self._tainted = False
         self._panicked = False
@@ -77,7 +86,7 @@ class KernelLog:
 
     def log(self, timestamp_ns: int, message: str,
             level: str = "info") -> None:
-        """Append a log record."""
+        """Append a log record (overwriting the oldest when full)."""
         self.records.append(LogRecord(timestamp_ns, level, message))
 
     def record_oops(self, timestamp_ns: int, reason: str, *,
@@ -142,11 +151,12 @@ class KernelLog:
         return marked
 
     def grep(self, needle: str) -> List[LogRecord]:
-        """Return every log record containing ``needle``."""
+        """Return every record still in the ring containing
+        ``needle``."""
         return [r for r in self.records if needle in r.message]
 
     def dmesg(self) -> str:
-        """Render the whole log as text."""
+        """Render the ring as text."""
         return "\n".join(r.render() for r in self.records)
 
     def last_oops(self) -> Optional[OopsRecord]:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis.bugs import full_bug_table
 from repro.ebpf.asm_text import assemble_text
@@ -53,7 +53,7 @@ from repro.ebpf.bugs import BugConfig
 from repro.ebpf.disasm import disasm
 from repro.ebpf.helpers.registry import build_default_registry
 from repro.ebpf.interpreter import ENGINES
-from repro.ebpf.loader import BpfSubsystem
+from repro.ebpf.loader import BpfSubsystem, LoadedProgram
 from repro.ebpf.progs import ProgType
 from repro.errors import (
     KernelOops,
@@ -174,10 +174,13 @@ def cmd_prog_dump(args) -> int:
     return 0
 
 
-def _load_and_run_with_stats(args) -> Optional[BpfSubsystem]:
+def _load_and_run_with_stats(
+        args) -> Optional[Tuple[BpfSubsystem, LoadedProgram]]:
     """Boot a kernel with run stats on, load ``args.file``, run it
     ``args.repeat`` times.  Returns the subsystem (its telemetry holds
-    the data), or None when verification fails."""
+    the data) and the program's handle, which the command holds so the
+    program stays loaded while it reports; None when verification
+    fails."""
     bpf = _make_subsystem(args)
     bpf.kernel.telemetry.enable()
     _create_maps(bpf, args.map)
@@ -202,7 +205,7 @@ def _load_and_run_with_stats(args) -> Optional[BpfSubsystem]:
             print(f"KERNEL COMPROMISED: {violation.category}: "
                   f"{violation}", file=sys.stderr)
             break
-    return bpf
+    return bpf, prog
 
 
 def cmd_prog_stats(args) -> int:
@@ -210,12 +213,13 @@ def cmd_prog_stats(args) -> int:
 
     Models ``bpftool prog show`` output after
     ``sysctl kernel.bpf_stats_enabled=1``: run_cnt, run_time_ns, and
-    the derived average come straight from the telemetry table.  Each
+    the derived average come straight from the telemetry table.  The
     program's current tier and the VM's compile count follow.
     """
-    bpf = _load_and_run_with_stats(args)
-    if bpf is None:
+    loaded = _load_and_run_with_stats(args)
+    if loaded is None:
         return 1
+    bpf, prog = loaded
     rows = bpf.kernel.telemetry.progs.rows()
     print(f"{'prog':24s} {'framework':9s} {'run_cnt':>8} "
           f"{'run_time_ns':>12} {'avg_ns':>8} {'insns':>8} "
@@ -227,9 +231,8 @@ def cmd_prog_stats(args) -> int:
               f"{row.watchdog_fires:3d} {row.oopses:4d}")
     print(f"({len(rows)} programs, stats_enabled="
           f"{int(bpf.kernel.telemetry.stats_enabled)})")
-    for prog in bpf.all_progs():
-        print(f"prog {prog.prog_id} ({prog.name}): "
-              f"tier={bpf.vm.tier(prog)} runs={prog.runs}")
+    print(f"prog {prog.prog_id} ({prog.name}): "
+          f"tier={bpf.vm.tier(prog)} runs={prog.runs}")
     print(f"vm compiles={bpf.vm.compiles}")
     return 0
 
@@ -237,9 +240,10 @@ def cmd_prog_stats(args) -> int:
 def cmd_stats_dump(args) -> int:
     """``stats dump``: full telemetry snapshot as JSON or Prometheus
     text exposition format."""
-    bpf = _load_and_run_with_stats(args)
-    if bpf is None:
+    loaded = _load_and_run_with_stats(args)
+    if loaded is None:
         return 1
+    bpf, prog = loaded
     if args.format == "prometheus":
         print(to_prometheus(bpf.kernel.telemetry), end="")
     else:
@@ -249,9 +253,10 @@ def cmd_stats_dump(args) -> int:
 
 def cmd_trace_log(args) -> int:
     """``trace log``: print the trace ring as JSONL."""
-    bpf = _load_and_run_with_stats(args)
-    if bpf is None:
+    loaded = _load_and_run_with_stats(args)
+    if loaded is None:
         return 1
+    bpf, prog = loaded
     events = bpf.kernel.telemetry.trace.events(
         kind=args.kind or None, limit=args.limit)
     for event in events:

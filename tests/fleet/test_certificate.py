@@ -107,6 +107,21 @@ class TestOtherNodeImage:
         assert not stats.certified
         assert stats.insns_processed > 0
 
+    def test_a_freed_self_verified_release_still_counts(self, scenario):
+        """Node-side verifier runs are counted as they happen: once a
+        node of another image moves on from a release it verified
+        itself, that program is freed and its run still counts."""
+        spec = dataclasses.replace(default_fleet_spec(SEED),
+                                   use_jit=False)
+        node = FleetNode("odd-000", spec, scenario.registry.key)
+        scenario.fleet._nodes[node.node_id] = node
+        assert node.deploy(scenario.good).ok
+        first = node.bpf.all_progs()[-1].prog_id
+        assert node_verifier_runs(scenario) == 1
+        assert node.deploy(scenario.bad).ok
+        assert node.bpf.prog_by_id(first) is None
+        assert node_verifier_runs(scenario) == 2
+
     def test_toolchain_needs_no_key_of_its_own(self, toolchain):
         """The registry's toolchain certifies; it trusts no signer."""
         assert toolchain.trusted_key is None

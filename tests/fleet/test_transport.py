@@ -12,6 +12,7 @@ from repro.faultinject.plane import (
     Scripted,
 )
 from repro.fleet.adapters.sim import build_scenario
+from repro.fleet.journal import MemoryJournal
 from repro.fleet.transport import (
     FleetTransport,
     RetryPolicy,
@@ -139,6 +140,22 @@ class TestIdempotency:
         assert transport.stats.duplicates == 1
         assert transport.stats.applied["deploy"] == 1
         assert transport.stats.dedup_hits == 1
+
+    def test_journaled_ops_leave_no_cached_reply(self, scenario):
+        """The node retires a reply once the orchestrator has
+        journaled its op; a lost reply inside the call is still
+        absorbed by the cache first."""
+        transport = scenario.transport
+        transport.plane.arm("fleet.rpc.reply.node-002",
+                            Scripted([True]),
+                            FaultAction.err(ETIMEDOUT))
+        journal = MemoryJournal()
+        report = scenario.orchestrator.rollout(
+            scenario.good.release_id, seed=SEED, journal=journal)
+        assert report.outcome == "completed"
+        assert transport.stats.dedup_hits == 1
+        assert journal.ops()
+        assert transport._replies == {}
 
     def test_distinct_request_ids_apply_separately(self, scenario):
         transport = scenario.transport

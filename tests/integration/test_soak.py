@@ -6,6 +6,7 @@ per-invocation machinery must be flat, every refcount balanced, every
 lock free, RCU quiescent, and the memory pool reset.
 """
 
+import random
 import struct
 
 import pytest
@@ -167,6 +168,48 @@ class TestPerCallContexts:
 
 
 class TestRepeatedLoadUnloadChurn:
+    #: distinct programs, more than the load cache holds
+    POOL = 160
+    #: loads before the first decile: enough to fill the load cache,
+    #: the kernel log ring and the freed-memory quarantine
+    WARMUP = 2000
+    #: loads per decile
+    DECILE = 200
+
+    def test_load_unload_soak_stays_flat(self):
+        """Thousands of loads, each run twice and then dropped: live
+        programs, log records, tracked ranges and cache entries read
+        the same at every decile."""
+        kernel = Kernel()
+        bpf = BpfSubsystem(kernel)
+        pool = [Asm().mov64_imm(R0, index).exit_().program()
+                for index in range(self.POOL)]
+        assert self.POOL > bpf.load_cache.max_entries
+        rng = random.Random(0)
+
+        def load_run_drop():
+            index = rng.randrange(self.POOL)
+            prog = bpf.load_program(pool[index], ProgType.KPROBE,
+                                    f"churn{index}")
+            for __ in range(2):
+                assert bpf.run_on_current_task(prog) == index
+
+        def state():
+            return (len(bpf.all_progs()), len(kernel.log.records),
+                    len(kernel.mem._by_base), len(bpf.load_cache))
+
+        for __ in range(self.WARMUP):
+            load_run_drop()
+        deciles = []
+        for __ in range(10):
+            for __ in range(self.DECILE):
+                load_run_drop()
+            deciles.append(state())
+        assert deciles == [deciles[0]] * 10
+        assert deciles[0][0] == 0
+        assert bpf.load_cache.hits and bpf.load_cache.misses
+        assert kernel.healthy
+
     def test_many_loads_accounted(self):
         """Loading many programs/extensions must not corrupt shared
         state (ids unique, log coherent)."""

@@ -101,6 +101,23 @@ class TestCheckedAccess:
         with pytest.raises(UseAfterFree):
             mem.read(alloc.base, 8)
 
+    @pytest.mark.parametrize("type_name", ("void", "bpf_stack"))
+    def test_kfree_drops_the_bytes_and_accesses_still_fault(
+            self, mem, type_name):
+        alloc = mem.kmalloc(64, type_name=type_name)
+        mem.write(alloc.base, b"\xaa" * 64)
+        mem.kfree(alloc)
+        assert len(alloc.data) == 0
+        with pytest.raises(UseAfterFree) as fault:
+            mem.read(alloc.base + 8, 8)
+        assert str(fault.value) == \
+            f"use-after-free of {type_name} at {alloc.base + 8:#x}"
+        with pytest.raises(UseAfterFree):
+            mem.write(alloc.base, b"\x00")
+        assert mem.try_read(alloc.base, 8) is None
+        assert not mem.try_write(alloc.base, b"\x00")
+        assert len(alloc.data) == 0
+
     def test_double_free_faults(self, mem):
         alloc = mem.kmalloc(8)
         mem.kfree(alloc)
