@@ -2,7 +2,7 @@
 
 Each bench module regenerates one of the paper's tables/figures,
 asserts its shape checks, and prints the rendered artifact once (under
-``-s``) so a run of ``pytest benchmarks/ --benchmark-only -s``
+``-s``) so a run of ``python -m pytest benchmarks/ --benchmark-only -s``
 reproduces the paper's entire evaluation section.
 """
 

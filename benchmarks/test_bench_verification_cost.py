@@ -1,12 +1,10 @@
 """§2.1 cost bench: verifier scaling (with the pruning ablation) vs
 signature-validation scaling."""
 
-import statistics
-import time
-
 import pytest
 
 from conftest import run_once
+from timing import interleave, medians, paired, timed
 
 from repro.ebpf import Asm, BpfSubsystem, ProgType
 from repro.ebpf.helpers.registry import build_default_registry
@@ -90,32 +88,30 @@ def _counted_loop(iterations: int) -> list:
             .exit_().program())
 
 
-def _seconds_per_insn(program: list, registry) -> float:
-    verifier = Verifier(program, ProgType.KPROBE, registry, {})
-    start = time.perf_counter()
-    stats = verifier.verify()
-    return (time.perf_counter() - start) / stats.insns_processed
+def _walk(program: list, registry):
+    """An arm whose window is one verifier walk of ``program``."""
+    def window():
+        stats, seconds = timed(
+            Verifier(program, ProgType.KPROBE, registry, {}).verify)
+        return stats.insns_processed, seconds
+    return window
 
 
 def test_verify_cost_per_insn_flat_on_counted_loop():
     """Verifier wall time per processed instruction must not grow
     with the walk: the ~128k-instruction walk of a counted loop may
     cost at most 1.5x per instruction what the ~4k walk costs (the
-    median of interleaved pairs; the target is 1.25x).  Runs under
+    median of interleaved rounds; the target is 1.25x).  Runs under
     plain pytest: it takes no ``benchmark`` fixture."""
     registry = build_default_registry()
-    short, long = _counted_loop(2_000), _counted_loop(64_000)
-    ratios, short_times, long_times = [], [], []
-    for __ in range(5):
-        short_time = _seconds_per_insn(short, registry)
-        long_time = _seconds_per_insn(long, registry)
-        short_times.append(short_time)
-        long_times.append(long_time)
-        ratios.append(long_time / short_time)
-    ratio = statistics.median(ratios)
-    print(f"\ncounted loop: "
-          f"{statistics.median(short_times) * 1e6:.1f} us/insn at 4k, "
-          f"{statistics.median(long_times) * 1e6:.1f} us/insn at 128k, "
-          f"median ratio {ratio:.2f} (pairs: "
-          + ", ".join(f"{r:.2f}" for r in ratios) + ")")
-    assert ratio <= 1.5
+    rates = interleave({"4k": _walk(_counted_loop(2_000), registry),
+                        "128k": _walk(_counted_loop(64_000), registry)},
+                       rounds=15)
+    # insns/sec at 4k over that at 128k: the 128k walk's time per insn
+    # over the 4k walk's
+    ratio = paired(rates, "4k", "128k")
+    us_per_insn = {size: round(1e6 / rate, 1)
+                   for size, rate in medians(rates).items()}
+    print(f"\ncounted loop: us/insn {us_per_insn}, 128k/4k per round: "
+          + ", ".join(f"{r:.2f}" for r in ratio.values))
+    ratio.at_most(1.5, "128k/4k verifier time per insn")
