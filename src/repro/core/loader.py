@@ -113,10 +113,8 @@ class SafeLoader:
         # comparison (Figure 5 vs Figure 1)
         self.kernel.telemetry.record_load(
             "safelang", ext.name, prog_id=loaded.ext_id,
-            cache_hit=False,
-            verify_ns=int(loaded.load_time_s * 1e9))
-        self.kernel.log.log(
-            self.kernel.clock.now_ns,
-            f"safelang: loaded extension {loaded.ext_id} ({ext.name}) "
-            f"sig=ok key={ext.key_id} symbols={len(resolved)}")
+            verify_ns=int(loaded.load_time_s * 1e9),
+            dmesg=f"safelang: loaded extension {loaded.ext_id} "
+                  f"({ext.name}) sig=ok key={ext.key_id} "
+                  f"symbols={len(resolved)}")
         return loaded

@@ -97,8 +97,7 @@ class Watchdog:
                 self.log.log(
                     now_ns,
                     f"watchdog: extension {self.name!r} exceeded its "
-                    f"{self.budget_ns}ns budget, terminating",
-                    level="warn")
+                    f"{self.budget_ns}ns budget, terminating")
             if self.on_fire is not None:
                 self.on_fire(self)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.ebpf.bugs import BugConfig
 from repro.ebpf.compile import CompiledProgram
@@ -58,10 +58,27 @@ from repro.ebpf.verifier.analyzer import (
 )
 from repro.ebpf.verifier.limits import VerifierLimits
 from repro.errors import BpfRuntimeError, KernelOops, VerifierError
+from repro.kernel.events import KernelEvent
 from repro.kernel.kernel import Kernel
 
 if TYPE_CHECKING:
     from repro.core.signing import SigningKey
+
+
+def _load_lines(event: KernelEvent) -> Tuple[str, ...]:
+    """A load's dmesg lines, rendered from its ``load`` event;
+    ``steps`` counts the verification that accepted the bytes, which
+    a cache hit did not repeat."""
+    name = event.source.split(":", 1)[1]
+    checked = "certified" if event.get("certified") \
+        else f"verified in {event.get('steps')} steps"
+    loaded = (f"bpf: loaded prog {event.get('prog_id')} ({name}) "
+              f"type={event.get('prog_type')} insns={event.get('insns')} "
+              f"{checked}")
+    if not event.get("cache_hit"):
+        return (loaded,)
+    return (f"bpf: verification cache hit for ({name}), skipping "
+            f"verifier", loaded)
 
 
 @dataclass
@@ -366,10 +383,6 @@ class BpfSubsystem:
             stats = cached.stats_copy()
             jit = cached.jit
             decoded = cached.predecoded
-            self.kernel.log.log(
-                self.kernel.clock.now_ns,
-                f"bpf: verification cache hit for ({name}), "
-                f"skipping verifier")
         else:
             if trusted and self.trusted_key.verify(
                     certificate_image(cache_key), certificate):
@@ -399,27 +412,16 @@ class BpfSubsystem:
             cache_entry=entry)
         self._next_prog_id += 1
         self._progs[prog.prog_id] = prog
+        hit = cached is not None
         self.kernel.telemetry.record_load(
-            "ebpf", name, prog_id=prog.prog_id,
-            cache_hit=cached is not None,
-            verify_ns=0 if cached is not None
-            else int(stats.wall_time_s * 1e9),
+            "ebpf", name, prog_id=prog.prog_id, cache_hit=hit,
+            verify_ns=0 if hit else int(stats.wall_time_s * 1e9),
             jit_ns=jit_ns, predecode_ns=predecode_ns,
             insns=len(prog.insns),
-            insns_processed=0 if cached is not None
-            else stats.insns_processed,
-            states_explored=0 if cached is not None
-            else stats.states_explored)
-        checked = "certified" if stats.certified \
-            else f"verified in {stats.insns_processed} steps"
-        self.kernel.log.log(
-            self.kernel.clock.now_ns,
-            f"bpf: loaded prog {prog.prog_id} ({name}) "
-            f"type={prog_type.value} insns={len(prog.insns)} {checked}")
-        self.kernel.events.publish(
-            "load", source=f"bpf:{name}", prog_id=prog.prog_id,
-            prog_type=prog_type.value, insns=len(prog.insns),
-            cache_hit=cached is not None, certified=stats.certified)
+            insns_processed=0 if hit else stats.insns_processed,
+            states_explored=0 if hit else stats.states_explored,
+            dmesg=_load_lines, prog_type=prog_type.value,
+            certified=stats.certified, steps=stats.insns_processed)
         return prog
 
     # -- program management -------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Dict, Optional
 
 from repro.core.signing import SigningKey
 from repro.ebpf.loader import BpfSubsystem
-from repro.errors import ReproError
+from repro.errors import KernelPanic, ReproError
 from repro.fleet.ports import DeployResult
 from repro.kernel import Kernel, KernelSpec
 
@@ -166,9 +166,14 @@ class FleetNode:
 
     def soak(self, runs: int) -> None:
         """Drive ``runs`` canonical packets through the XDP chain
-        (supervised dispatch: faults feed the circuit breaker)."""
-        for run in range(runs):
-            self.kernel.hooks.deliver_packet(soak_payload(run))
+        (supervised dispatch: faults feed the circuit breaker).  A
+        kernel panic ends the soak: the node is down, and
+        :meth:`census` reads it as ``dead``."""
+        try:
+            for run in range(runs):
+                self.kernel.hooks.deliver_packet(soak_payload(run))
+        except KernelPanic:
+            pass
 
     def census(self) -> str:
         """This node's health classification (see

@@ -19,6 +19,9 @@ from typing import Dict, List, Optional
 from repro.telemetry.export import registry_to_prometheus
 from repro.telemetry.metrics import MetricsRegistry
 
+#: the node event kinds the fleet counts (log and trace stay local)
+OBSERVED = ("load", "oops", "health", "soft-reset", "telemetry")
+
 
 class FleetTelemetry:
     """The fleet's observability hub (pure service: it only ever sees
@@ -73,7 +76,7 @@ class FleetTelemetry:
         node_ids = fleet.node_ids()
         for node_id in node_ids:
             self._subscriptions.append(
-                fleet.subscribe(node_id, self._on_event))
+                fleet.subscribe(node_id, self._on_event, kinds=OBSERVED))
         self._fleet_size.labels().set(len(node_ids))
         return len(node_ids)
 

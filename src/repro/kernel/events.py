@@ -1,69 +1,78 @@
-"""The kernel event stream: one subscribable bus per kernel.
+"""The kernel event ring: one record per kernel fact.
 
-Before the fleet work, anything that wanted to observe a kernel had to
-reach into its internals: telemetry hung off a private ``on_oops``
-callback, the supervisor's health transitions were visible only in its
-audit list, and a load was an entry in the kernel log.  That was fine
-while every consumer lived in the same module graph — it stops working
-when an *orchestrator* owns hundreds of kernels and needs to watch all
-of them without coupling to any subsystem's internals.
+Each :class:`~repro.kernel.kernel.Kernel` owns one :class:`EventBus`,
+its one store of what happened and its one way to watch it.  A
+producer publishes each fact once, as one :class:`KernelEvent` of a
+kind — ``log`` (a plain message), ``oops``, ``load``, ``recovery`` (a
+supervisor decision), ``health``, ``soft-reset``, ``telemetry`` (a
+roll-up snapshot), and the telemetry hub's ``run``, ``helper``,
+``watchdog_kill``, ``panic``, ``ringbuf_drop``, ``fault`` and
+``map_op``.  The bus keeps the newest :data:`EVENT_RING_RECORDS` events
+(once the ring is full, each new event overwrites the oldest, as
+dmesg's ``log_buf_len`` does) and hands each event to the subscribers
+of its kind.  The kernel log and the telemetry trace are views of the
+ring: :meth:`~repro.kernel.panic.KernelLog.dmesg` renders the events
+that carry a dmesg line, ``Telemetry.trace`` the traced kinds as JSONL.
+A frequent fact (a load, an oops) carries a function that renders its
+line from its fields instead of the text, so it holds no string.
 
-This module is the redesigned delivery path.  Each
-:class:`~repro.kernel.kernel.Kernel` owns one :class:`EventBus`;
-producers publish typed :class:`KernelEvent` records —
+Delivery is synchronous and in subscription order, so the stream is
+as deterministic as the simulation itself: the sequence of events is
+a pure function of (workload, seed), which is what lets the fleet's
+rollout log be bit-identical across runs.
 
-* ``oops`` — every kernel oops, as it is recorded (the bus replaces
-  the old private callback; telemetry is now just the first
-  subscriber),
-* ``load`` — every program through a load pipeline,
-* ``health`` — every supervisor health-state transition
-  (old state, new state, reason),
-* ``soft-reset`` — scoped taint cleared (a rollback leaves this
-  fingerprint),
-* ``telemetry`` — an on-demand roll-up snapshot
-  (:meth:`~repro.kernel.kernel.Kernel.emit_telemetry_snapshot`),
-
-and consumers subscribe by kind.  Delivery is synchronous and in
-subscription order, so the stream is as deterministic as the
-simulation itself: the sequence of events is a pure function of
-(workload, seed), which is what lets the fleet's rollout log be
-bit-identical across runs.
-
-Hot-path contract: nothing here runs per instruction or per packet.
-Oopses, loads and health transitions are control-plane-rate; the only
-per-event cost beyond building the record is one list iteration over
-the matching subscribers.
+Hot-path contract: nothing here runs per instruction or per packet
+unless run stats are on; the cost of an event beyond building the
+record is one ring append and one pass over the subscribers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, List, Optional, Tuple
+
+#: events one kernel keeps: once the ring is full, each new event
+#: overwrites the oldest
+EVENT_RING_RECORDS = 1024
+
+#: one shared ``keys`` tuple per sequence of detail names
+_KEYS: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelEvent:
-    """One observed kernel fact, stamped on the virtual clock."""
+    """One observed kernel fact, stamped on the virtual clock.  Its
+    detail values follow the names in ``keys``, a tuple shared by
+    every event published with those names in that order."""
 
     seq: int
     timestamp_ns: int
     kind: str
     source: str
-    detail: Tuple[Tuple[str, object], ...] = ()
+    keys: Tuple[str, ...] = ()
+    values: Tuple[object, ...] = ()
+    #: the dmesg text, or a function rendering the event's lines from
+    #: its fields; None when the fact logs nothing
+    dmesg: object = None
+
+    @property
+    def detail(self) -> Tuple[Tuple[str, object], ...]:
+        """The detail fields as sorted ``(name, value)`` pairs (they
+        hash stably into determinism digests)."""
+        return tuple(sorted(zip(self.keys, self.values)))
 
     def get(self, key: str, default: object = None) -> object:
-        """One detail field (events carry details as sorted pairs so
-        they hash stably into determinism digests)."""
-        for name, value in self.detail:
-            if name == key:
-                return value
-        return default
+        """One detail field."""
+        return self.values[self.keys.index(key)] if key in self.keys \
+            else default
 
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready view."""
-        return {"seq": self.seq, "timestamp_ns": self.timestamp_ns,
-                "kind": self.kind, "source": self.source,
-                "detail": dict(self.detail)}
+    def lines(self) -> Tuple[str, ...]:
+        """The event's dmesg lines (none when it logs nothing)."""
+        dmesg = self.dmesg
+        if dmesg is None:
+            return ()
+        return (dmesg,) if isinstance(dmesg, str) else dmesg(self)
 
     def signature_bytes(self) -> bytes:
         """Stable serialization, hashed into rollout signatures."""
@@ -85,11 +94,6 @@ class Subscription:
     kinds: Optional[Tuple[str, ...]] = None
     active: bool = True
 
-    def matches(self, kind: str) -> bool:
-        """True when this subscription wants ``kind`` events."""
-        return self.active and (self.kinds is None
-                                or kind in self.kinds)
-
     def cancel(self) -> None:
         """Detach; pending deliveries in the current publish still
         complete (delivery snapshots the subscriber list)."""
@@ -98,12 +102,14 @@ class Subscription:
 
 
 class EventBus:
-    """Synchronous, deterministic pub/sub over one kernel's events."""
+    """One kernel's event ring, with deterministic pub/sub over it."""
 
     def __init__(self, clock: Optional[object] = None) -> None:
         self.clock = clock
+        #: the newest :data:`EVENT_RING_RECORDS` events, oldest first
+        self.ring: Deque[KernelEvent] = deque(maxlen=EVENT_RING_RECORDS)
         self._subs: List[Subscription] = []
-        #: events published, by kind (cheap observability for tests)
+        #: events published, by kind (overwritten ones included)
         self.emitted: Dict[str, int] = {}
         self._next_seq = 0
 
@@ -114,7 +120,7 @@ class EventBus:
         Handlers run synchronously, in subscription order."""
         sub = Subscription(self, handler,
                            tuple(kinds) if kinds is not None else None)
-        self._subs.append(sub)
+        self._subs = self._subs + [sub]
         return sub
 
     def prune(self) -> None:
@@ -123,19 +129,24 @@ class EventBus:
 
     def publish(self, kind: str, source: str = "",
                 timestamp_ns: Optional[int] = None,
+                dmesg: object = None,
                 **detail: object) -> KernelEvent:
-        """Build and deliver one event; returns it (tests assert on
-        the return value).  ``timestamp_ns`` defaults to the kernel
-        clock — producers that know a better stamp (an oops carries
-        its own) pass it explicitly."""
+        """Record one fact in the ring and deliver it; returns the
+        event (tests assert on the return value).  ``timestamp_ns``
+        defaults to the kernel clock — producers that know a better
+        stamp (an oops carries its own) pass it explicitly.
+        ``dmesg`` is the fact's log line, or its renderer."""
         if timestamp_ns is None:
             timestamp_ns = self.clock.now_ns if self.clock else 0
+        keys = tuple(detail)
         event = KernelEvent(
-            seq=self._next_seq, timestamp_ns=timestamp_ns, kind=kind,
-            source=source, detail=tuple(sorted(detail.items())))
+            self._next_seq, timestamp_ns, kind, source,
+            _KEYS.setdefault(keys, keys), tuple(detail.values()), dmesg)
         self._next_seq += 1
         self.emitted[kind] = self.emitted.get(kind, 0) + 1
-        for sub in list(self._subs):
-            if sub.matches(kind):
+        self.ring.append(event)
+        # subscribe and prune replace the list, so this is a snapshot
+        for sub in self._subs:
+            if sub.active and (sub.kinds is None or kind in sub.kinds):
                 sub.handler(event)
         return event

@@ -46,23 +46,14 @@ class Kernel:
         #: the declarative config this kernel was stamped from
         self.spec = spec
         self.clock = VirtualClock()
-        self.log = KernelLog()
-        #: the subscribable event stream (see
-        #: :mod:`repro.kernel.events`); fleet orchestrators observe
-        #: the kernel exclusively through this bus
+        #: the kernel's one record of what happened (the log and the
+        #: telemetry trace are views of it); fleet orchestrators
+        #: observe the kernel exclusively through it
         self.events = EventBus(clock=self.clock)
+        self.log = KernelLog(self.events)
         #: the shared observability hub; ``telemetry.stats_enabled``
         #: models the ``kernel.bpf_stats_enabled`` sysctl
-        self.telemetry = Telemetry(clock=self.clock)
-        # telemetry is the bus's first subscriber, so counters update
-        # before any external observer sees the event
-        self.events.subscribe(
-            lambda e: self.telemetry.record_oops(
-                e.timestamp_ns, e.get("category"), e.source),
-            kinds=("oops",))
-        self.log.on_oops = lambda oops: self.events.publish(
-            "oops", source=oops.source,
-            timestamp_ns=oops.timestamp_ns, category=oops.category)
+        self.telemetry = Telemetry(self.events)
         #: the fault-injection plane; disabled (one bool test) unless
         #: a chaos experiment arms it
         self.faults = FaultPlane(clock=self.clock,

@@ -147,8 +147,7 @@ class SpinLock:
             now = self._clock.now_ns if self._clock is not None else 0
             self._log.log(
                 now, f"recovery: {source} force-released spinlock "
-                     f"{self.name} (was held by {previous})",
-                level="warn")
+                     f"{self.name} (was held by {previous})")
         return previous
 
 

@@ -18,27 +18,10 @@ containment itself fails or the oops budget is exhausted).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
-#: records the kernel log keeps, like dmesg's ``log_buf_len``: once it
-#: is full, each new record overwrites the oldest
-LOG_BUF_RECORDS = 1024
-
-
-@dataclass
-class LogRecord:
-    """One line of kernel log output."""
-
-    timestamp_ns: int
-    level: str
-    message: str
-
-    def render(self) -> str:
-        """Format like a dmesg line: ``[    1.234567] message``."""
-        seconds = self.timestamp_ns / 1_000_000_000
-        return f"[{seconds:12.6f}] {self.message}"
+from repro.kernel.events import EventBus, KernelEvent
 
 
 @dataclass
@@ -56,22 +39,28 @@ class OopsRecord:
     contained_reason: str = ""
 
 
+def _oops_lines(event: KernelEvent) -> Tuple[str, ...]:
+    """An oops's dmesg lines, rendered from its event."""
+    return (f"BUG: {event.get('category')}: {event.get('reason')} "
+            f"(source: {event.source})", "---[ end trace ]---")
+
+
 class KernelLog:
-    """A fixed-size kernel message ring plus oops bookkeeping.
+    """The kernel log, a view of the kernel's event ring, plus oops
+    bookkeeping.
 
-    ``records`` keeps the latest :data:`LOG_BUF_RECORDS` lines, as the
-    kernel's ring buffer does; ``oopses`` keeps every oops, because
-    taint and the containment budget are computed from it."""
+    :meth:`log` and :meth:`record_oops` publish on the ring, and the
+    views read back the held events that carry a dmesg line;
+    ``oopses`` keeps every oops, because taint and the containment
+    budget are computed from it."""
 
-    def __init__(self) -> None:
-        self.records: Deque[LogRecord] = deque(maxlen=LOG_BUF_RECORDS)
+    def __init__(self, events: Optional[EventBus] = None) -> None:
+        #: the ring this log is a view of (its own when it stands alone)
+        self.events = events if events is not None else EventBus()
         self.oopses: List[OopsRecord] = []
         self._tainted = False
         self._panicked = False
         self.panic_reason: Optional[str] = None
-        #: invoked with each :class:`OopsRecord` as it is recorded;
-        #: the kernel wires this into the telemetry hub
-        self.on_oops: Optional[Callable[[OopsRecord], None]] = None
 
     @property
     def tainted(self) -> bool:
@@ -84,23 +73,20 @@ class KernelLog:
         """True once the kernel went down hard (no recovery)."""
         return self._panicked
 
-    def log(self, timestamp_ns: int, message: str,
-            level: str = "info") -> None:
-        """Append a log record (overwriting the oldest when full)."""
-        self.records.append(LogRecord(timestamp_ns, level, message))
+    def log(self, timestamp_ns: int, message: str) -> None:
+        """Publish one kernel message."""
+        self.events.publish("log", timestamp_ns=timestamp_ns,
+                            dmesg=message)
 
     def record_oops(self, timestamp_ns: int, reason: str, *,
                     category: str, source: str) -> None:
-        """Record an oops and taint the kernel."""
+        """Record an oops, taint the kernel, and publish it."""
         self._tainted = True
-        oops = OopsRecord(timestamp_ns, reason, category, source)
-        self.oopses.append(oops)
-        if self.on_oops is not None:
-            self.on_oops(oops)
-        self.log(timestamp_ns,
-                 f"BUG: {category}: {reason} (source: {source})",
-                 level="emerg")
-        self.log(timestamp_ns, "---[ end trace ]---", level="emerg")
+        self.oopses.append(
+            OopsRecord(timestamp_ns, reason, category, source))
+        self.events.publish("oops", source=source,
+                            timestamp_ns=timestamp_ns, dmesg=_oops_lines,
+                            category=category, reason=reason)
 
     def panic(self, timestamp_ns: int, reason: str, *,
               source: str = "kernel") -> None:
@@ -110,7 +96,7 @@ class KernelLog:
         self.panic_reason = reason
         self.log(timestamp_ns,
                  f"Kernel panic - not syncing: {reason} "
-                 f"(source: {source})", level="emerg")
+                 f"(source: {source})")
 
     # -- scoped taint / containment -----------------------------------------
 
@@ -143,21 +129,27 @@ class KernelLog:
             marked += 1
             self.log(timestamp_ns,
                      f"recovery: contained oops ({oops.category}: "
-                     f"{oops.reason}) [{oops.source}]: {reason}",
-                     level="warn")
+                     f"{oops.reason}) [{oops.source}]: {reason}")
         if marked:
             self._tainted = self._panicked or \
                 bool(self.uncontained_oopses())
         return marked
 
-    def grep(self, needle: str) -> List[LogRecord]:
-        """Return every record still in the ring containing
-        ``needle``."""
-        return [r for r in self.records if needle in r.message]
+    @property
+    def records(self) -> List[KernelEvent]:
+        """The held events that carry a dmesg line, oldest first."""
+        return [e for e in self.events.ring if e.dmesg is not None]
+
+    def grep(self, needle: str) -> List[KernelEvent]:
+        """Every held event with a dmesg line containing ``needle``."""
+        return [e for e in self.records
+                if any(needle in line for line in e.lines())]
 
     def dmesg(self) -> str:
-        """Render the ring as text."""
-        return "\n".join(r.render() for r in self.records)
+        """Render the held log as ``[    1.234567] message`` lines."""
+        return "\n".join(
+            f"[{event.timestamp_ns / 1_000_000_000:12.6f}] {line}"
+            for event in self.records for line in event.lines())
 
     def last_oops(self) -> Optional[OopsRecord]:
         """The most recent oops, or ``None`` if the kernel never

@@ -197,8 +197,7 @@ class RcuSubsystem:
             self._log.log(
                 report.detected_at_ns,
                 f"rcu: INFO: rcu_sched self-detected stall on CPU "
-                f"({self._holder} stuck for {stalled_s:.0f}s)",
-                level="err")
+                f"({self._holder} stuck for {stalled_s:.0f}s)")
             self._next_report_at += self.stall_timeout_ns
             emitted += 1
         if now_ns >= self._next_report_at:

@@ -21,9 +21,10 @@ oops budget is exhausted, the supervisor *escalates*: a real panic
 (:class:`~repro.errors.KernelPanic`), taint forever.
 
 Everything the supervisor decides is appended to an audit trail
-(mirrored into the kernel log and the telemetry trace ring) whose
-content is a pure function of the fault-plane seed — determinism is
-part of the recovery contract, and ``tests/recovery`` enforces it.
+(and published once on the kernel's event ring, which the kernel log
+and the telemetry trace render) whose content is a pure function of
+the fault-plane seed — determinism is part of the recovery contract,
+and ``tests/recovery`` enforces it.
 """
 
 from __future__ import annotations
@@ -196,12 +197,10 @@ class Supervisor:
 
     def _audit_event(self, kind: str, tag: str,
                      **detail: object) -> None:
-        now = self.kernel.clock.now_ns
-        event = AuditEvent(now, kind, tag, detail)
+        event = AuditEvent(self.kernel.clock.now_ns, kind, tag, detail)
         self.audit.append(event)
-        self.kernel.log.log(now, f"recovery: {event.render()}",
-                            level="warn")
-        self.kernel.telemetry.record_recovery_event(kind, tag, detail)
+        self.kernel.telemetry.record_recovery_event(
+            kind, tag, detail, dmesg=f"recovery: {event.render()}")
 
     def audit_signature(self) -> str:
         """SHA-256 over the audit trail: same seed, same decisions."""

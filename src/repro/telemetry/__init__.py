@@ -10,8 +10,8 @@ makes the same surface available to the paper's proposed framework:
   histograms in a labeled registry;
 * :mod:`repro.telemetry.stats` — per-program run and load-pipeline
   statistics;
-* :mod:`repro.telemetry.trace` — the bounded structured-event ring
-  with pluggable sinks and JSONL round-trip;
+* :mod:`repro.telemetry.trace` — the structured trace, a view of the
+  kernel's event ring (:mod:`repro.kernel.events`), with JSONL;
 * :mod:`repro.telemetry.core` — the per-kernel hub wiring it all
   together behind the ``stats_enabled`` toggle;
 * :mod:`repro.telemetry.export` — JSON and Prometheus text
@@ -27,7 +27,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
 )
 from repro.telemetry.stats import ProgStats, ProgStatsTable
-from repro.telemetry.trace import TraceEvent, TraceRing, parse_jsonl
+from repro.telemetry.trace import TraceEvent, TraceView, parse_jsonl
 from repro.telemetry.export import (
     parse_json,
     parse_prometheus,
@@ -40,6 +40,6 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricFamily",
     "MetricsRegistry",
     "ProgStats", "ProgStatsTable",
-    "TraceEvent", "TraceRing", "parse_jsonl",
+    "TraceEvent", "TraceView", "parse_jsonl",
     "parse_json", "parse_prometheus", "to_json", "to_prometheus",
 ]

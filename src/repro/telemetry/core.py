@@ -31,23 +31,25 @@ from repro.telemetry.metrics import MetricsRegistry
 NET_LATENCY_BUCKETS = (
     250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000,
     250000, 500000, 1000000, 4000000, 16000000)
-from repro.telemetry.stats import ProgStats, ProgStatsTable
-from repro.telemetry.trace import TraceEvent, TraceRing
+from repro.telemetry.stats import ProgStats, ProgStatsTable, program_tag
+from repro.telemetry.trace import TraceView
 
 
 class Telemetry:
-    """Metrics registry + per-program stats + trace ring for one
-    kernel."""
+    """Metrics registry + per-program stats for one kernel, and the
+    trace: a view of the kernel's event ring."""
 
-    def __init__(self, clock: Optional[object] = None,
-                 stats_enabled: bool = False,
-                 trace_capacity: int = 1024) -> None:
+    def __init__(self, events: object,
+                 stats_enabled: bool = False) -> None:
         #: the ``kernel.bpf_stats_enabled`` analogue
         self.stats_enabled = stats_enabled
         self.registry = MetricsRegistry()
         self.progs = ProgStatsTable()
-        self.trace = TraceRing(capacity=trace_capacity)
-        self._clock = clock
+        #: the kernel's event ring, where the records below publish
+        self._events = events
+        self.trace = TraceView(events)
+        # first subscriber: counters update before anyone sees an oops
+        events.subscribe(self._count_oops, kinds=("oops",))
 
         reg = self.registry
         # run-side families (recorded only while stats_enabled)
@@ -168,9 +170,6 @@ class Telemetry:
         """Turn run-stats collection off (``bpf_stats_enabled=0``)."""
         self.stats_enabled = False
 
-    def _now(self) -> int:
-        return self._clock.now_ns if self._clock is not None else 0
-
     # -- per-program rows ----------------------------------------------------
 
     def prog(self, framework: str, name: str,
@@ -191,19 +190,18 @@ class Telemetry:
         self._run_time.labels(framework, name).inc(run_time_ns)
         self._insns.labels(framework, name).inc(insns)
         self._run_time_hist.labels(framework).observe(run_time_ns)
-        self.trace.emit(TraceEvent(
-            self._now(), "run", framework, name,
-            {"run_time_ns": run_time_ns, "insns": insns,
-             "helper_calls": helper_calls}))
+        self._events.publish(
+            "run", source=program_tag(framework, name),
+            run_time_ns=run_time_ns, insns=insns,
+            helper_calls=helper_calls)
 
     def record_helper(self, framework: str, name: str,
                       symbol: str) -> None:
         """Count one helper/kcrate call and trace it."""
         self.prog(framework, name).record_helper(symbol)
         self._helper_calls.labels(framework, symbol).inc()
-        self.trace.emit(TraceEvent(
-            self._now(), "helper", framework, name,
-            {"symbol": symbol}))
+        self._events.publish("helper", source=program_tag(framework, name),
+                             symbol=symbol)
 
     # -- load pipeline (always on) ---------------------------------------------
 
@@ -212,8 +210,11 @@ class Telemetry:
                     verify_ns: int = 0, jit_ns: int = 0,
                     predecode_ns: int = 0, insns: int = 0,
                     insns_processed: int = 0,
-                    states_explored: int = 0) -> None:
-        """Record one trip through a framework's loading pipeline."""
+                    states_explored: int = 0, dmesg: object = None,
+                    **detail: object) -> None:
+        """Record one trip through a framework's loading pipeline: the
+        kernel's one ``load`` event, with the loader's log line(s) and
+        own fields."""
         self.prog(framework, name, prog_id).record_load(
             cache_hit=cache_hit, verify_ns=verify_ns, jit_ns=jit_ns,
             predecode_ns=predecode_ns, insns_processed=insns_processed,
@@ -230,13 +231,12 @@ class Telemetry:
                 states_explored)
             self._verify_hist.labels().observe(insns_processed)
         self._progs_loaded.labels(framework).inc()
-        self.trace.emit(TraceEvent(
-            self._now(), "load", framework, name,
-            {"prog_id": prog_id, "cache_hit": cache_hit,
-             "insns": insns, "verify_ns": verify_ns, "jit_ns": jit_ns,
-             "predecode_ns": predecode_ns,
-             "insns_processed": insns_processed,
-             "states_explored": states_explored}))
+        self._events.publish(
+            "load", source=program_tag(framework, name), dmesg=dmesg,
+            prog_id=prog_id, cache_hit=cache_hit, insns=insns,
+            verify_ns=verify_ns, jit_ns=jit_ns,
+            predecode_ns=predecode_ns, insns_processed=insns_processed,
+            states_explored=states_explored, **detail)
 
     def record_compile(self, framework: str, name: str,
                        compile_ns: int) -> None:
@@ -252,29 +252,25 @@ class Telemetry:
         """Count a watchdog budget exhaustion and trace the kill."""
         self.prog(framework, name).watchdog_fires += 1
         self._watchdog.labels(framework, name).inc()
-        self.trace.emit(TraceEvent(
-            self._now(), "watchdog_kill", framework, name,
-            {"budget_ns": budget_ns}))
+        self._events.publish("watchdog_kill",
+                             source=program_tag(framework, name),
+                             budget_ns=budget_ns)
 
     def record_panic(self, framework: str, name: str,
                      reason: str) -> None:
         """Count a contained extension panic."""
         self.prog(framework, name).panics += 1
         self._panics.labels(framework, name).inc()
-        self.trace.emit(TraceEvent(
-            self._now(), "panic", framework, name,
-            {"reason": reason}))
+        self._events.publish("panic", source=program_tag(framework, name),
+                             reason=reason)
 
-    def record_oops(self, ts_ns: int, category: str,
-                    source: str) -> None:
+    def _count_oops(self, event: object) -> None:
         """Count a kernel oops, attributing it to the responsible
         program when the source tag resolves to one."""
-        self._oops.labels(category, source).inc()
-        row = self.progs.by_source_tag(source)
+        self._oops.labels(event.get("category"), event.source).inc()
+        row = self.progs.by_source_tag(event.source)
         if row is not None:
             row.oopses += 1
-        self.trace.emit(TraceEvent(
-            ts_ns, "oops", "", source, {"category": category}))
 
     def record_ringbuf_drop(self, map_fd: int, requested: int, *,
                             cpu: Optional[int] = None) -> None:
@@ -285,9 +281,8 @@ class Telemetry:
             self._rb_drop_bytes.labels(key).inc(requested)
         else:
             self._pe_drops.labels(key, cpu).inc()
-        self.trace.emit(TraceEvent(
-            self._now(), "ringbuf_drop", "", "",
-            {"map_fd": map_fd, "requested": requested, "cpu": cpu}))
+        self._events.publish("ringbuf_drop", map_fd=map_fd,
+                             requested=requested, cpu=cpu)
 
     # -- data plane (always on) ----------------------------------------------------
 
@@ -325,14 +320,13 @@ class Telemetry:
 
     def record_recovery_event(
             self, kind: str, tag: str,
-            detail: Optional[Dict[str, object]] = None) -> None:
-        """Count one supervisor decision and trace it."""
+            detail: Optional[Dict[str, object]] = None,
+            dmesg: Optional[str] = None) -> None:
+        """Count one supervisor decision and publish it with its log
+        line."""
         self._recovery_events.labels(kind).inc()
-        payload: Dict[str, object] = {"decision": kind}
-        if detail:
-            payload.update(detail)
-        self.trace.emit(TraceEvent(
-            self._now(), "recovery", "", tag, payload))
+        self._events.publish("recovery", source=tag, dmesg=dmesg,
+                             decision=kind, **(detail or {}))
 
     def record_containment(self, source: str, category: str) -> None:
         """Count one contained oops, attributed to its domain."""
@@ -349,27 +343,22 @@ class Telemetry:
                      detail: Optional[Dict[str, object]] = None) -> None:
         """Count one injected fault and trace its delivery."""
         self._faults.labels(site, action).inc()
-        payload: Dict[str, object] = {"action": action}
-        if detail:
-            payload.update(detail)
-        self.trace.emit(TraceEvent(
-            self._now(), "fault", "", site, payload))
+        self._events.publish("fault", source=site, action=action,
+                             **(detail or {}))
 
     # -- population ---------------------------------------------------------------
 
     def record_map_created(self, map_type: str, map_fd: int) -> None:
         """Track a map creation (gauge + trace)."""
         self._maps_live.labels(map_type).inc()
-        self.trace.emit(TraceEvent(
-            self._now(), "map_op", "", "",
-            {"op": "create", "type": map_type, "map_fd": map_fd}))
+        self._events.publish("map_op", op="create", type=map_type,
+                             map_fd=map_fd)
 
     def record_map_destroyed(self, map_type: str, map_fd: int) -> None:
         """Track a map teardown (gauge + trace)."""
         self._maps_live.labels(map_type).dec()
-        self.trace.emit(TraceEvent(
-            self._now(), "map_op", "", "",
-            {"op": "destroy", "type": map_type, "map_fd": map_fd}))
+        self._events.publish("map_op", op="destroy", type=map_type,
+                             map_fd=map_fd)
 
     # -- snapshot -------------------------------------------------------------------
 

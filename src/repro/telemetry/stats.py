@@ -13,7 +13,19 @@ captured per program instead of per experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
+
+
+def program_tag(framework: str, name: str) -> str:
+    """A program's attribution tag: ``bpf:name`` or
+    ``safelang:name``, as the supervisor and the oops path spell it."""
+    return f"{'bpf' if framework == 'ebpf' else framework}:{name}"
+
+
+def split_tag(tag: str) -> Tuple[str, str]:
+    """``(framework, name)`` of a :func:`program_tag`."""
+    framework, name = tag.split(":", 1)
+    return ("ebpf" if framework == "bpf" else framework), name
 
 
 @dataclass
@@ -136,10 +148,7 @@ class ProgStatsTable:
         ``safelang:name``) to its stats row, if registered."""
         if ":" not in source:
             return None
-        framework, name = source.split(":", 1)
-        if framework == "bpf":
-            framework = "ebpf"
-        return self._stats.get(f"{framework}:{name}")
+        return self.lookup(*split_tag(source))
 
     def rows(self) -> "list[ProgStats]":
         """Every stats row, sorted by key for deterministic output."""

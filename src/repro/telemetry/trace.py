@@ -1,32 +1,38 @@
-"""The structured trace ring: bounded, overwriting, exportable.
+"""The structured trace: a view of the kernel's event ring.
 
 Models the kernel's tracing ring buffers (``trace_pipe``, the BPF
-ringbuf used by observability tools): a fixed-capacity in-memory ring
-of structured events.  When the ring is full the *oldest* event is
-overwritten and counted as dropped — readers that fall behind lose
-history, never the writer (the same policy as the kernel's per-CPU
-trace buffers).
-
-Events are plain data; sinks are pluggable callables so tests (or a
-future wire exporter) can observe events as they are emitted without
-changing the emitters.  JSONL export/import round-trips every field.
+ringbuf used by observability tools) but stores nothing itself: the
+trace is the traced kinds of the kernel's one event ring
+(:mod:`repro.kernel.events`), rendered as :class:`TraceEvent` rows.
+When the ring is full the *oldest* event is overwritten, and a traced
+one counts as dropped — readers that fall behind lose history, never
+the writer.  JSONL export/import round-trips every field.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Dict, List, Optional
 
-#: event kinds emitted by the instrumented subsystems
-EVENT_KINDS = ("load", "run", "helper", "watchdog_kill", "oops",
-               "map_op", "ringbuf_drop", "panic")
+from repro.telemetry.stats import split_tag
+
+#: traced kinds whose source is a ``framework:name`` program tag
+PROGRAM_KINDS = ("load", "run", "helper", "watchdog_kill", "panic")
+#: the kinds the trace shows
+TRACED = PROGRAM_KINDS + ("oops", "ringbuf_drop", "recovery", "fault",
+                          "map_op")
+#: the fields a row shows where the event carries more: a load's
+#: pipeline fields, not the loader's own; an oops's category
+FIELDS = {"load": ("prog_id", "cache_hit", "insns", "verify_ns",
+                   "jit_ns", "predecode_ns", "insns_processed",
+                   "states_explored"),
+          "oops": ("category",)}
 
 
 @dataclass
 class TraceEvent:
-    """One structured telemetry event."""
+    """One structured telemetry event (a trace row)."""
 
     ts_ns: int
     kind: str
@@ -51,65 +57,57 @@ class TraceEvent:
                           data=raw.get("data", {}))
 
 
-class TraceRing:
-    """Bounded ring of :class:`TraceEvent` with pluggable sinks."""
+def trace_row(event: object) -> TraceEvent:
+    """Render one traced kernel event as its trace row."""
+    framework, prog = split_tag(event.source) \
+        if event.kind in PROGRAM_KINDS else ("", event.source)
+    data = dict(event.detail)
+    if event.kind in FIELDS:
+        data = {name: data[name] for name in FIELDS[event.kind]}
+    return TraceEvent(event.timestamp_ns, event.kind, framework, prog,
+                      data)
 
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity <= 0:
-            raise ValueError("trace ring capacity must be positive")
-        self.capacity = capacity
-        self._ring: Deque[TraceEvent] = deque(maxlen=capacity)
-        #: events overwritten because the ring was full
-        self.dropped = 0
-        #: every event ever emitted (dropped ones included)
-        self.emitted = 0
-        self._sinks: Dict[str, Callable[[TraceEvent], None]] = {}
+
+class TraceView:
+    """The trace: the traced kinds of one kernel's event ring."""
+
+    def __init__(self, events: object) -> None:
+        self._events = events
+        #: the ring's size, which every kind shares
+        self.capacity = events.ring.maxlen
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return sum(1 for e in self._events.ring if e.kind in TRACED)
 
-    def emit(self, event: TraceEvent) -> None:
-        """Append an event, overwriting (and counting) the oldest
-        when full, then fan out to every sink."""
-        self.emitted += 1
-        if len(self._ring) == self.capacity:
-            self.dropped += 1
-        self._ring.append(event)
-        for sink in self._sinks.values():
-            sink(event)
+    @property
+    def emitted(self) -> int:
+        """Traced events ever published (dropped ones included)."""
+        return sum(self._events.emitted.get(kind, 0) for kind in TRACED)
 
-    def add_sink(self, name: str,
-                 sink: Callable[[TraceEvent], None]) -> None:
-        """Register ``sink(event)`` to observe every emission."""
-        self._sinks[name] = sink
-
-    def remove_sink(self, name: str) -> None:
-        """Unregister a sink (no-op when absent)."""
-        self._sinks.pop(name, None)
+    @property
+    def dropped(self) -> int:
+        """Traced events the ring has overwritten."""
+        return self.emitted - len(self)
 
     def events(self, kind: Optional[str] = None,
                limit: Optional[int] = None) -> List[TraceEvent]:
         """Events currently held, oldest first, optionally filtered
         by ``kind`` and truncated to the last ``limit``."""
-        out = [e for e in self._ring
-               if kind is None or e.kind == kind]
+        held = [e for e in self._events.ring
+                if e.kind in TRACED and (kind is None or e.kind == kind)]
         if limit is not None:
-            out = out[-limit:]
-        return out
-
-    def clear(self) -> None:
-        """Drop every held event (counters are kept)."""
-        self._ring.clear()
+            held = held[-limit:]
+        return [trace_row(event) for event in held]
 
     def to_jsonl(self) -> str:
         """The held events as JSON-lines text (trailing newline when
         non-empty)."""
-        lines = [event.to_json() for event in self._ring]
+        lines = [event.to_json() for event in self.events()]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_jsonl(text: str) -> List[TraceEvent]:
-    """Parse JSONL text (as produced by :meth:`TraceRing.to_jsonl`)
+    """Parse JSONL text (as produced by :meth:`TraceView.to_jsonl`)
     back into events."""
     return [TraceEvent.from_json(line)
             for line in text.splitlines() if line.strip()]

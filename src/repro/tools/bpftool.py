@@ -252,18 +252,17 @@ def cmd_stats_dump(args) -> int:
 
 
 def cmd_trace_log(args) -> int:
-    """``trace log``: print the trace ring as JSONL."""
+    """``trace log``: print the trace as JSONL."""
     loaded = _load_and_run_with_stats(args)
     if loaded is None:
         return 1
     bpf, prog = loaded
-    events = bpf.kernel.telemetry.trace.events(
-        kind=args.kind or None, limit=args.limit)
+    trace = bpf.kernel.telemetry.trace
+    events = trace.events(kind=args.kind or None, limit=args.limit)
     for event in events:
         print(event.to_json())
-    ring = bpf.kernel.telemetry.trace
-    print(f"# {len(events)} events shown, {ring.emitted} emitted, "
-          f"{ring.dropped} dropped", file=sys.stderr)
+    print(f"# {len(events)} events shown, {trace.emitted} emitted, "
+          f"{trace.dropped} dropped", file=sys.stderr)
     return 0
 
 
@@ -758,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=["json", "prometheus"])
     stats_dump.set_defaults(func=cmd_stats_dump)
 
-    trace = sub.add_parser("trace", help="structured trace ring")
+    trace = sub.add_parser("trace", help="structured trace")
     trace_sub = trace.add_subparsers(dest="action", required=True)
     trace_log = trace_sub.add_parser(
         "log", parents=[runnable],

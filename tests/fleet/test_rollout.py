@@ -1,12 +1,24 @@
 """End-to-end fleet rollouts: convergence, canary rollback,
 bit-identical determinism, telemetry export."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.fleet.adapters.sim import build_scenario
-from repro.recovery import HealthState
+from repro.ebpf.progs import ProgType
+from repro.fleet.adapters.sim import (
+    EXTENSION,
+    SimFleet,
+    bad_time_prog,
+    boot_toolchain,
+    build_scenario,
+    default_fleet_spec,
+)
+from repro.fleet.services.orchestrator import RolloutOrchestrator
+from repro.fleet.services.registry import ReleaseRegistry
+from repro.net.programs import pass_all_prog
+from repro.recovery import HealthState, RecoveryPolicy
 from repro.telemetry.export import parse_prometheus
 
 FLEET = 40
@@ -89,6 +101,32 @@ class TestBadRelease:
             forged.release_id, seed=SEED)
         assert report.outcome == "rejected"
         assert not report.verdicts
+
+
+class TestNodePanic:
+    def test_panicked_canaries_read_dead_and_rollout_returns(self):
+        """A node whose supervisor escalates to a panic is an outcome,
+        not an exception: with no oops budget, the bad release's first
+        contained oops panics each canary's kernel, and ``rollout()``
+        still returns its report."""
+        spec = dataclasses.replace(
+            default_fleet_spec(SEED),
+            recovery_policy=RecoveryPolicy(oops_budget=0))
+        registry = ReleaseRegistry(boot_toolchain(spec))
+        baseline = registry.publish(EXTENSION, "1.0.0",
+                                    pass_all_prog(), ProgType.XDP)
+        bad = registry.publish(EXTENSION, "2.0.0", bad_time_prog(),
+                               ProgType.XDP)
+        fleet = SimFleet(8, spec, trusted_key=registry.key)
+        fleet.preinstall(baseline)
+        report = RolloutOrchestrator(fleet, registry).rollout(
+            bad.release_id, seed=SEED)
+        assert report.outcome == "rolled-back"
+        dead = [node for node in fleet.nodes()
+                if fleet.census(node.node_id) == "dead"]
+        assert dead
+        assert all(node.kernel.log.panicked for node in dead)
+        assert report.final_census.get("dead") == len(dead)
 
 
 class TestDeterminism:

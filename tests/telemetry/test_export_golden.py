@@ -8,6 +8,11 @@ compared with the files under ``golden/``.  Only the host wall-time
 fields (``verify_ns``, ``jit_ns``, ``predecode_ns``, ``compile_ns``
 and ``repro_load_stage_ns_total``) are masked, so any change to what
 the kernel logs, traces or exports fails here.
+
+The log and the trace are views of the kernel's one event ring, so
+each fact behind them is one event: :class:`TestOneRecordPerFact`
+checks that for a cold load, a cache-hit load, a certified load, an
+oops and a supervisor decision.
 """
 
 import json
@@ -17,11 +22,13 @@ from pathlib import Path
 import pytest
 
 from repro.core import SafeExtensionFramework
+from repro.core.signing import SigningKey
 from repro.ebpf.asm import Asm
 from repro.ebpf.bugs import BugConfig
 from repro.ebpf.helpers import ids
 from repro.ebpf.isa import R0
 from repro.ebpf.loader import BpfSubsystem
+from repro.ebpf.progcache import certificate_image
 from repro.ebpf.progs import ProgType
 from repro.faultinject.plane import FaultAction, OneShot
 from repro.kernel import Kernel
@@ -118,3 +125,97 @@ def test_scenario_is_deterministic(exports):
     assert kernel.log.dmesg() + "\n" == exports["dmesg.txt"]
     assert masked_jsonl(kernel.telemetry.trace.to_jsonl()) == \
         exports["trace.jsonl"]
+
+
+def one_new_event(kernel, action):
+    """Run ``action``; check it published exactly one event and
+    return that event with the action's result."""
+    before = sum(kernel.events.emitted.values())
+    result = action()
+    assert sum(kernel.events.emitted.values()) - before == 1
+    return kernel.events.ring[-1], result
+
+
+class TestOneRecordPerFact:
+    """Each fact is one event on the ring, and the log line and the
+    trace row are renderings of that event."""
+
+    def test_cold_load(self):
+        kernel = Kernel()
+        bpf = BpfSubsystem(kernel)
+        event, prog = one_new_event(kernel, lambda: bpf.load_program(
+            helper_prog(ids.BPF_FUNC_ktime_get_ns), ProgType.KPROBE,
+            "p"))
+        assert (event.kind, event.source) == ("load", "bpf:p")
+        assert event.get("prog_id") == prog.prog_id
+        assert event.lines() == (
+            "bpf: loaded prog 1 (p) type=kprobe insns=3 verified in "
+            "3 steps",)
+        assert kernel.log.records[-1] is event
+        row = kernel.telemetry.trace.events()[-1]
+        assert (row.kind, row.framework, row.prog) == \
+            ("load", "ebpf", "p")
+
+    def test_cache_hit_load(self):
+        kernel = Kernel()
+        bpf = BpfSubsystem(kernel)
+        insns = helper_prog(ids.BPF_FUNC_ktime_get_ns)
+        cold = bpf.load_program(insns, ProgType.KPROBE, "a")
+        event, hit = one_new_event(kernel, lambda: bpf.load_program(
+            insns, ProgType.KPROBE, "b"))
+        assert event.get("cache_hit") is True
+        assert event.lines() == (
+            "bpf: verification cache hit for (b), skipping verifier",
+            "bpf: loaded prog 2 (b) type=kprobe insns=3 verified in "
+            "3 steps")
+        assert kernel.telemetry.trace.events()[-1].data[
+            "insns_processed"] == 0
+        assert cold.prog_id != hit.prog_id
+
+    def test_certified_load(self):
+        key = SigningKey.generate("test-toolchain")
+        insns = helper_prog(ids.BPF_FUNC_ktime_get_ns)
+        toolchain = BpfSubsystem(Kernel())
+        cert = key.sign(certificate_image(
+            toolchain.certify(insns, ProgType.KPROBE)))
+        kernel = Kernel()
+        bpf = BpfSubsystem(kernel, trusted_key=key)
+        event, prog = one_new_event(kernel, lambda: bpf.load_program(
+            insns, ProgType.KPROBE, "p", certificate=cert))
+        assert prog.verifier_stats.certified
+        assert event.get("certified") is True
+        assert event.lines() == (
+            "bpf: loaded prog 1 (p) type=kprobe insns=3 certified",)
+
+    def test_oops(self):
+        kernel = Kernel()
+        event, __ = one_new_event(kernel, lambda: kernel.log.record_oops(
+            5, "wild write", category="page_fault", source="bpf:p"))
+        assert (event.kind, event.timestamp_ns) == ("oops", 5)
+        assert event.lines() == (
+            "BUG: page_fault: wild write (source: bpf:p)",
+            "---[ end trace ]---")
+        assert kernel.telemetry.trace.events()[-1].data == \
+            {"category": "page_fault"}
+        fam = kernel.telemetry.registry.get("repro_oops_total")
+        assert fam.labels("page_fault", "bpf:p").value == 1
+
+    def test_supervisor_decision(self):
+        kernel = Kernel()
+        supervisor = kernel.enable_recovery()
+        supervisor.quarantine("bpf:p", reason="operator")
+        # a quarantine is two facts: the health transition and the
+        # decision; a refusal while the breaker is open is one
+        assert [e.kind for e in list(kernel.events.ring)[-2:]] == \
+            ["health", "recovery"]
+        audited = len(supervisor.audit)
+        event, refused = one_new_event(
+            kernel, lambda: supervisor.gate("bpf:p"))
+        assert refused
+        assert len(supervisor.audit) == audited + 1
+        decision = supervisor.audit[-1]
+        assert (event.kind, event.get("decision")) == \
+            ("recovery", "refused")
+        assert event.lines() == (f"recovery: {decision.render()}",)
+        assert kernel.telemetry.trace.events()[-1].data == \
+            dict(decision.detail, decision="refused")

@@ -192,10 +192,9 @@ class TestSafelangStats:
         default = fw.vm.watchdog_budget_ns
         tight = fw.install(SPIN, "tight", watchdog_budget_ns=10_000)
         seen = []
-        kernel.telemetry.trace.add_sink(
-            "probe",
-            lambda e: seen.append(fw.vm.watchdog_budget_ns)
-            if e.kind == "watchdog_kill" else None)
+        kernel.events.subscribe(
+            lambda e: seen.append(fw.vm.watchdog_budget_ns),
+            kinds=("watchdog_kill",))
         fw.run_on_packet(tight, b"x")
         # even at the instant the watchdog fired, the VM default was
         # untouched — nested runs would each keep their own budget
