@@ -1,6 +1,10 @@
 """The kernel event stream: pub/sub semantics and the kernel's
 built-in producers (oops, load, soft-reset, telemetry)."""
 
+import dataclasses
+
+import pytest
+
 from repro.ebpf.bugs import BugConfig
 from repro.ebpf.loader import BpfSubsystem
 from repro.ebpf.progs import ProgType
@@ -43,6 +47,17 @@ class TestEventBus:
         assert a.detail == (("a", 2), ("z", 1))  # sorted pairs
         assert a.get("z") == 1
         assert a.signature_bytes() == a.signature_bytes()
+
+    def test_events_are_compact_and_frozen(self):
+        # the ring holds thousands of these per kernel: no per-event
+        # dict, and one names tuple shared by every event with them
+        bus = EventBus()
+        a = bus.publish("k", z=1, a=2)
+        b = bus.publish("k", z=3, a=4)
+        assert not hasattr(a, "__dict__")
+        assert a.keys is b.keys
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.seq = 5
 
 
 class TestKernelProducers:
