@@ -352,3 +352,432 @@ class TestFleetCommands:
         certificates = [r["certificate"] for r in releases]
         assert all(len(c) == 64 for c in certificates)
         assert len(set(certificates)) == 3
+
+
+#: The fault, race and fleet commands' exit status and full stdout,
+#: pinned literally so that bpftool's refactors cannot change what they
+#: print.  ``PROG`` in a command is the ``helper_prog_file`` program and
+#: ``JOURNAL`` a fresh journal path; ``TMP`` in the output stands for
+#: the test's temporary directory.
+SCENARIO_GOLDEN = [
+    ("fault-list",
+     "fault list",
+     0,
+     "site             semantics\n"
+     "helper.<name>    eBPF helper dispatch; errno becomes the helper's "
+     "return value, panic oopses through the official panic path\n"
+     "map.lookup       map lookup; errno makes the lookup miss\n"
+     "map.update       map update; errno returned to the caller\n"
+     "map.delete       map delete; errno returned to the caller\n"
+     "map.alloc        per-element map allocation (hash value kmalloc, "
+     "ringbuf record); fault surfaces as -ENOMEM/-ENOSPC\n"
+     "pool.alloc       SafeLang per-CPU pool allocation; fault counts as an "
+     "exhaustion and returns NULL to the extension\n"
+     "watchdog.fire    watchdog delivery; errno/panic suppress this "
+     "delivery attempt, delay pushes the deadline by delay_ns\n"
+     "rcu.synchronize  grace-period wait; delay stretches it\n"
+     "load.verify      eBPF verifier entry; errno rejects the program, "
+     "panic oopses as a verifier internal fault\n"
+     "load.signature   SafeLang signature check; any fault makes "
+     "verification fail\n"
+     "net.nic.rx       NIC packet ingress; errno drops the packet on the "
+     "wire (counted rx_drops reason=nic_drop) before any queue sees it\n"
+     "net.queue.enqueue per-CPU RX queue admission; errno drops the packet "
+     "as a queue overflow even when the ring has room\n"
+     "net.redirect     devmap redirect resolution after an XDP_REDIRECT "
+     "verdict; errno makes the target NIC unreachable (rx_drops "
+     "reason=redirect_gone)\n"
+     "fleet.rpc.send.<node> control-channel request delivery to one fleet "
+     "node; errno drops the request on the wire, delay models a slow hop "
+     "(past the RPC deadline the request still lands but the client has "
+     "given up), dup delivers the request twice\n"
+     "fleet.rpc.reply.<node> control-channel reply delivery from one fleet "
+     "node; errno drops the reply after the node applied the request (the "
+     "case idempotent retries exist for), delay/dup as for send\n"
+     "fleet.node.crash.<node> fleet node agent crash; panic loses the "
+     "in-flight request and takes the node down for the policy's reboot "
+     "span on the control clock\n"
+     "fleet.partition.<node> network partition between the orchestrator and "
+     "one node; any action cuts both directions for this delivery attempt "
+     "(the partition heals when its schedule stops firing)\n"
+     "fleet.orch.crash rollout orchestrator crash, checked after every "
+     "journal append; panic kills the rollout mid-flight — "
+     "RolloutOrchestrator.resume() picks it back up from the write-ahead "
+     "journal\n"
+     "(18 sites; schedules: prob:P nth:N every:N oneshot script:1,0,1; "
+     "actions: errno:NAME|NUM panic delay:NS)\n"),
+    ("fault-enable-errno",
+     "fault enable PROG --arm helper.*=prob:0.5=errno:EINVAL --seed 7 "
+     "--repeat 10",
+     0,
+     "  #0   helper.bpf_ktime_get_ns  errno:22 hit=1 t=21ns\n"
+     "  #1   helper.bpf_ktime_get_ns  errno:22 hit=2 t=44ns\n"
+     "  #2   helper.bpf_ktime_get_ns  errno:22 hit=4 t=90ns\n"
+     "  #3   helper.bpf_ktime_get_ns  errno:22 hit=6 t=136ns\n"
+     "  #4   helper.bpf_ktime_get_ns  errno:22 hit=7 t=159ns\n"
+     "  #5   helper.bpf_ktime_get_ns  errno:22 hit=9 t=205ns\n"
+     "  #6   helper.bpf_ktime_get_ns  errno:22 hit=10 t=228ns\n"
+     "7 faults injected (seed 7, trace e314192e8449e24e…)\n"),
+    ("fault-enable-panic",
+     "fault enable PROG --arm helper.*=oneshot=panic --repeat 3",
+     2,
+     "KERNEL COMPROMISED: injected panic in helper bpf_ktime_get_ns\n"
+     "  #0   helper.bpf_ktime_get_ns  panic hit=1 t=21ns\n"
+     "1 faults injected (seed 0, trace d8330acb0964f7cf…)\n"),
+    ("fault-status-nth",
+     "fault status PROG --arm helper.*=nth:2=errno:ENOMEM --repeat 5",
+     0,
+     "pattern              schedule       action           hits  fires\n"
+     "helper.*             nth:2          errno:ENOMEM        5      1\n"
+     "  site helper.bpf_ktime_get_ns  reached 5 times\n"
+     "  site load.verify              reached 1 times\n"
+     "enabled=True armed=True seed=0 faults=1\n"),
+    ("fault-status-load-errno",
+     "fault status PROG --arm load.verify=oneshot=errno:EINVAL",
+     1,
+     "VERIFICATION FAILED: injected load failure (errno 22) for "
+     "(TMP/victim.s)\n"
+     "pattern              schedule       action           hits  fires\n"
+     "load.verify          oneshot        errno:EINVAL        1      1\n"
+     "  site load.verify              reached 1 times\n"
+     "enabled=True armed=True seed=0 faults=1\n"),
+    ("race-list",
+     "race list",
+     0,
+     "scenario                 kind       expectation\n"
+     "rcu_use_after_grace      planted    explorer must find a oops\n"
+     "unlocked_counter         planted    explorer must find a race\n"
+     "atomic_counter           race-free  zero findings on every schedule\n"
+     "locked_counter           race-free  zero findings on every schedule\n"
+     "percpu_counter           race-free  zero findings on every schedule\n"
+     "rcu_publish              race-free  zero findings on every schedule\n"
+     "(6 scenarios; 'race run NAME' explores, 'race status NAME --seed S' "
+     "replays one schedule)\n"),
+    ("race-run-race",
+     "race run unlocked_counter --budget 8 --seed 0",
+     0,
+     "  [race    ] seed=0    data race on array_map3+0: write by "
+     "unlocked-writer (no locks) vs read by locked-writer (counter.lock)\n"
+     "             trace 703e915958d00eaa…\n"
+     "  [race    ] seed=0    data race on array_map3+0: write by "
+     "unlocked-writer (no locks) vs write by locked-writer (counter.lock)\n"
+     "             trace 703e915958d00eaa…\n"
+     "  [race    ] seed=1    data race on array_map3+0: read by "
+     "unlocked-writer (no locks) vs write by locked-writer (counter.lock)\n"
+     "             trace 427cb75c701d8c61…\n"
+     "unlocked_counter: 3 distinct findings (3 races, 0 oopses, 0 "
+     "deadlocks) in 8 schedules, 8 distinct states (cpus=2, base seed 0)\n"
+     "replay: bpftool race status unlocked_counter --seed 0 --cpus 2\n"),
+    ("race-run-oops",
+     "race run rcu_use_after_grace --budget 8 --seed 0",
+     0,
+     "  [oops    ] seed=1    UseAfterFree: use-after-free of rcu_obj at "
+     "0xffff888000000180\n"
+     "             trace 2bfd01fecfa7246d…\n"
+     "rcu_use_after_grace: 1 distinct findings (0 races, 1 oopses, 0 "
+     "deadlocks) in 8 schedules, 4 distinct states (cpus=2, base seed 0)\n"
+     "replay: bpftool race status rcu_use_after_grace --seed 1 --cpus 2\n"),
+    ("race-run-unknown",
+     "race run no_such_scenario --budget 8",
+     2,
+     ""),
+    ("race-status-race",
+     "race status unlocked_counter --seed 1 --limit 6",
+     0,
+     "  #21    mem.access     w:array_map3+0               "
+     "locked-writer@cpu0 -> cpu0\n"
+     "  #22    lock.release   counter.lock                 "
+     "locked-writer@cpu0 -> cpu0\n"
+     "  #23    lock.acquire   counter.lock                 "
+     "locked-writer@cpu0 -> cpu0\n"
+     "  #24    mem.access     r:array_map3+0               "
+     "locked-writer@cpu0 -> cpu0\n"
+     "  #25    mem.access     w:array_map3+0               "
+     "locked-writer@cpu0 -> cpu0\n"
+     "  #26    lock.release   counter.lock                 "
+     "locked-writer@cpu0 -> cpu0\n"
+     "schedule seeded:1: 26 decisions, 10 switches, 0 contended acquires, 0 "
+     "migrations\n"
+     "trace signature "
+     "427cb75c701d8c61ba514de15b74767c16b4a18d5404128657d51e1943f8af1c\n"
+     "  race: data race on array_map3+0: read by unlocked-writer (no locks) "
+     "vs write by locked-writer (counter.lock)\n"
+     "  race: data race on array_map3+0: write by locked-writer "
+     "(counter.lock) vs write by unlocked-writer (no locks)\n"
+     "  race: data race on array_map3+0: write by unlocked-writer (no "
+     "locks) vs read by locked-writer (counter.lock)\n"),
+    ("race-status-oops",
+     "race status rcu_use_after_grace --seed 1 --limit 4",
+     0,
+     "  #2     rcu.enter      reader                       reader@cpu0 -> "
+     "cpu0\n"
+     "  #3     preempt        rcu-window                   reader@cpu0 -> "
+     "cpu1\n"
+     "  #4     exit           writer                       writer@cpu1 -> "
+     "cpu0\n"
+     "  #5     rcu.exit       reader                       reader@cpu0 -> "
+     "cpu0\n"
+     "schedule seeded:1: 5 decisions, 2 switches, 0 contended acquires, 0 "
+     "migrations\n"
+     "trace signature "
+     "2bfd01fecfa7246dca99d6b3cd823c56e938ec0f2ba41c1e23fcf667a6cc8fc2\n"
+     "  outcome: UseAfterFree: use-after-free of rcu_obj at "
+     "0xffff888000000180\n"),
+    ("fleet-rollout-good",
+     "fleet rollout --release good --nodes 8 --seed 7",
+     0,
+     "[000] wave=0 plan fleet=8 fractions=0.01,0.1,0.5,1.0 "
+     "release=xdp-filter@1.1.0 seed=7 waves=4\n"
+     "[001] wave=1 wave-start fraction=0.01 nodes=1\n"
+     "[002] wave=1 canary census=healthy:1 passed=True total=1 unhealthy=0 "
+     "unreachable=0\n"
+     "[003] wave=2 wave-start fraction=0.1 nodes=1\n"
+     "[004] wave=2 canary census=healthy:1 passed=True total=1 unhealthy=0 "
+     "unreachable=0\n"
+     "[005] wave=3 wave-start fraction=0.5 nodes=2\n"
+     "[006] wave=3 canary census=healthy:2 passed=True total=2 unhealthy=0 "
+     "unreachable=0\n"
+     "[007] wave=4 wave-start fraction=1.0 nodes=4\n"
+     "[008] wave=4 canary census=healthy:4 passed=True total=4 unhealthy=0 "
+     "unreachable=0\n"
+     "[009] wave=0 done census=healthy:8 converged=8 outcome=completed "
+     "rpc_retries=0 rpc_unreachable=0\n"
+     "outcome: completed signature=d28f294afe45911c\n"),
+    ("fleet-rollout-bad",
+     "fleet rollout --release bad --nodes 8 --seed 7",
+     1,
+     "[000] wave=0 plan fleet=8 fractions=0.01,0.1,0.5,1.0 "
+     "release=xdp-filter@2.0.0 seed=7 waves=4\n"
+     "[001] wave=1 wave-start fraction=0.01 nodes=1\n"
+     "[002] wave=1 canary census=quarantined:1 passed=False total=1 "
+     "unhealthy=1 unreachable=0\n"
+     "[003] wave=1 halt reason=canary-failed upgraded=1\n"
+     "[004] wave=1 rollback restored=1 stuck=0 unreachable=0\n"
+     "[005] wave=0 done census=healthy:8 converged=0 outcome=rolled-back "
+     "rpc_retries=0 rpc_unreachable=0\n"
+     "outcome: rolled-back signature=ef5abef35fdcddb5\n"),
+    ("fleet-rollback",
+     "fleet rollback --nodes 8 --seed 7",
+     0,
+     "# prior rollout: xdp-filter@1.1.0 -> completed (8 nodes)\n"
+     "[000] wave=0 plan fleet=8 fractions=0.01,0.1,0.5,1.0 "
+     "release=xdp-filter@2.0.0 seed=7 waves=4\n"
+     "[001] wave=1 wave-start fraction=0.01 nodes=1\n"
+     "[002] wave=1 canary census=quarantined:1 passed=False total=1 "
+     "unhealthy=1 unreachable=0\n"
+     "[003] wave=1 halt reason=canary-failed upgraded=1\n"
+     "[004] wave=1 rollback restored=1 stuck=0 unreachable=0\n"
+     "[005] wave=0 done census=healthy:8 converged=0 outcome=rolled-back "
+     "rpc_retries=0 rpc_unreachable=0\n"
+     "outcome: rolled-back signature=ef5abef35fdcddb5\n"),
+    ("fleet-halt",
+     "fleet halt --after-wave 1 --nodes 8 --seed 3",
+     0,
+     "[000] wave=0 plan fleet=8 fractions=0.01,0.1,0.5,1.0 "
+     "release=xdp-filter@1.1.0 seed=3 waves=4\n"
+     "[001] wave=1 wave-start fraction=0.01 nodes=1\n"
+     "[002] wave=1 canary census=healthy:1 passed=True total=1 unhealthy=0 "
+     "unreachable=0\n"
+     "[003] wave=1 halt reason=halt-after-1 upgraded=1\n"
+     "[004] wave=0 done census=healthy:8 converged=1 outcome=halted "
+     "rpc_retries=0 rpc_unreachable=0\n"
+     "outcome: halted signature=3cec36151cf3c28f\n"),
+    ("fleet-resume",
+     "fleet resume --nodes 8 --seed 7 --crash-after 3 --journal JOURNAL",
+     0,
+     "# crash 1: orchestrator crashed after journal record 2\n"
+     "# crash 2: orchestrator crashed after journal record 6\n"
+     "# crash 3: orchestrator crashed after journal record 9\n"
+     "# crash 4: orchestrator crashed after journal record 12\n"
+     "# crash 5: orchestrator crashed after journal record 15\n"
+     "# crash 6: orchestrator crashed after journal record 18\n"
+     "# crash 7: orchestrator crashed after journal record 21\n"
+     "# crash 8: orchestrator crashed after journal record 24\n"
+     "# crash 9: orchestrator crashed after journal record 27\n"
+     "# crash 10: orchestrator crashed after journal record 30\n"
+     "# crash 11: orchestrator crashed after journal record 33\n"
+     "# crash 12: orchestrator crashed after journal record 36\n"
+     "# crash 13: orchestrator crashed after journal record 39\n"
+     "# crash 14: orchestrator crashed after journal record 42\n"
+     "# crash 15: orchestrator crashed after journal record 45\n"
+     "# crash 16: orchestrator crashed after journal record 48\n"
+     "# crash 17: orchestrator crashed after journal record 51\n"
+     "[000] wave=0 plan fleet=8 fractions=0.01,0.1,0.5,1.0 "
+     "release=xdp-filter@1.1.0 seed=7 waves=4\n"
+     "[001] wave=1 wave-start fraction=0.01 nodes=1\n"
+     "[002] wave=1 canary census=healthy:1 passed=True total=1 unhealthy=0 "
+     "unreachable=0\n"
+     "[003] wave=2 wave-start fraction=0.1 nodes=1\n"
+     "[004] wave=2 canary census=healthy:1 passed=True total=1 unhealthy=0 "
+     "unreachable=0\n"
+     "[005] wave=3 wave-start fraction=0.5 nodes=2\n"
+     "[006] wave=3 canary census=healthy:2 passed=True total=2 unhealthy=0 "
+     "unreachable=0\n"
+     "[007] wave=4 wave-start fraction=1.0 nodes=4\n"
+     "[008] wave=4 canary census=healthy:4 passed=True total=4 unhealthy=0 "
+     "unreachable=0\n"
+     "[009] wave=0 done census=healthy:8 converged=8 outcome=completed "
+     "rpc_retries=0 rpc_unreachable=0\n"
+     "outcome: completed signature=d28f294afe45911c\n"
+     "# journal: TMP/journal.jsonl (51 records, 17 crashes survived)\n"
+     "# uninterrupted signature: "
+     "d28f294afe45911cd55d7822958ff96fa925be6f3c5b88479b367533e6026ada\n"
+     "# resumed signature:       "
+     "d28f294afe45911cd55d7822958ff96fa925be6f3c5b88479b367533e6026ada\n"
+     "# bit-identical: yes\n"),
+    ("fleet-resume-chaos",
+     "fleet resume --release bad --nodes 8 --seed 7 --crash-after 4 --chaos "
+     "rpc-drops --journal JOURNAL",
+     0,
+     "# crash 1: orchestrator crashed after journal record 3\n"
+     "# crash 2: orchestrator crashed after journal record 8\n"
+     "# crash 3: orchestrator crashed after journal record 12\n"
+     "# crash 4: orchestrator crashed after journal record 16\n"
+     "# crash 5: orchestrator crashed after journal record 20\n"
+     "# crash 6: orchestrator crashed after journal record 24\n"
+     "# crash 7: orchestrator crashed after journal record 28\n"
+     "[000] wave=0 plan fleet=8 fractions=0.01,0.1,0.5,1.0 "
+     "release=xdp-filter@2.0.0 seed=7 waves=4\n"
+     "[001] wave=1 wave-start fraction=0.01 nodes=1\n"
+     "[002] wave=1 unreachable attempts=4 node=node-004 op=census\n"
+     "[003] wave=1 canary census=unreachable:1 passed=False total=1 "
+     "unhealthy=0 unreachable=1\n"
+     "[004] wave=1 halt reason=canary-failed upgraded=1\n"
+     "[005] wave=1 rollback restored=1 stuck=0 unreachable=0\n"
+     "[006] wave=0 done census=healthy:8 converged=0 outcome=rolled-back "
+     "rpc_retries=11 rpc_unreachable=1\n"
+     "outcome: rolled-back signature=48995b38f48329a1\n"
+     "# journal: TMP/journal.jsonl (28 records, 7 crashes survived)\n"
+     "# uninterrupted signature: "
+     "48995b38f48329a1823d09bc1bfa2e93818ef209de9a88a5f3f911157010a40a\n"
+     "# resumed signature:       "
+     "48995b38f48329a1823d09bc1bfa2e93818ef209de9a88a5f3f911157010a40a\n"
+     "# bit-identical: yes\n"),
+    ("fleet-resume-json",
+     "fleet resume --nodes 8 --seed 7 --crash-after 5 --json --journal "
+     "JOURNAL",
+     0,
+     "{\n"
+     "  \"converged_nodes\": 8,\n"
+     "  \"crashes\": 10,\n"
+     "  \"final_census\": {\n"
+     "    \"healthy\": 8\n"
+     "  },\n"
+     "  \"journal\": \"TMP/journal.jsonl\",\n"
+     "  \"journal_records\": 51,\n"
+     "  \"log\": [\n"
+     "    \"[000] wave=0 plan fleet=8 fractions=0.01,0.1,0.5,1.0 "
+     "release=xdp-filter@1.1.0 seed=7 waves=4\",\n"
+     "    \"[001] wave=1 wave-start fraction=0.01 nodes=1\",\n"
+     "    \"[002] wave=1 canary census=healthy:1 passed=True total=1 "
+     "unhealthy=0 unreachable=0\",\n"
+     "    \"[003] wave=2 wave-start fraction=0.1 nodes=1\",\n"
+     "    \"[004] wave=2 canary census=healthy:1 passed=True total=1 "
+     "unhealthy=0 unreachable=0\",\n"
+     "    \"[005] wave=3 wave-start fraction=0.5 nodes=2\",\n"
+     "    \"[006] wave=3 canary census=healthy:2 passed=True total=2 "
+     "unhealthy=0 unreachable=0\",\n"
+     "    \"[007] wave=4 wave-start fraction=1.0 nodes=4\",\n"
+     "    \"[008] wave=4 canary census=healthy:4 passed=True total=4 "
+     "unhealthy=0 unreachable=0\",\n"
+     "    \"[009] wave=0 done census=healthy:8 converged=8 "
+     "outcome=completed rpc_retries=0 rpc_unreachable=0\"\n"
+     "  ],\n"
+     "  \"outcome\": \"completed\",\n"
+     "  \"reference_signature\": "
+     "\"d28f294afe45911cd55d7822958ff96fa925be6f3c5b88479b367533e6026ada\",\n"
+     "  \"release\": \"xdp-filter@1.1.0\",\n"
+     "  \"rpc_retries\": 0,\n"
+     "  \"rpc_unreachable\": 0,\n"
+     "  \"seed\": 7,\n"
+     "  \"signature\": "
+     "\"d28f294afe45911cd55d7822958ff96fa925be6f3c5b88479b367533e6026ada\",\n"
+     "  \"signature_match\": true,\n"
+     "  \"stuck_nodes\": [],\n"
+     "  \"unreachable_nodes\": [],\n"
+     "  \"verdicts\": [\n"
+     "    {\n"
+     "      \"census\": {\n"
+     "        \"dead\": 0,\n"
+     "        \"degraded\": 0,\n"
+     "        \"deploy-failed\": 0,\n"
+     "        \"healthy\": 1,\n"
+     "        \"quarantined\": 0,\n"
+     "        \"unreachable\": 0\n"
+     "      },\n"
+     "      \"passed\": true,\n"
+     "      \"total\": 1,\n"
+     "      \"unhealthy\": 0,\n"
+     "      \"unhealthy_fraction\": 0.0,\n"
+     "      \"unreachable\": 0,\n"
+     "      \"unreachable_fraction\": 0.0,\n"
+     "      \"wave\": 1\n"
+     "    },\n"
+     "    {\n"
+     "      \"census\": {\n"
+     "        \"dead\": 0,\n"
+     "        \"degraded\": 0,\n"
+     "        \"deploy-failed\": 0,\n"
+     "        \"healthy\": 1,\n"
+     "        \"quarantined\": 0,\n"
+     "        \"unreachable\": 0\n"
+     "      },\n"
+     "      \"passed\": true,\n"
+     "      \"total\": 1,\n"
+     "      \"unhealthy\": 0,\n"
+     "      \"unhealthy_fraction\": 0.0,\n"
+     "      \"unreachable\": 0,\n"
+     "      \"unreachable_fraction\": 0.0,\n"
+     "      \"wave\": 2\n"
+     "    },\n"
+     "    {\n"
+     "      \"census\": {\n"
+     "        \"dead\": 0,\n"
+     "        \"degraded\": 0,\n"
+     "        \"deploy-failed\": 0,\n"
+     "        \"healthy\": 2,\n"
+     "        \"quarantined\": 0,\n"
+     "        \"unreachable\": 0\n"
+     "      },\n"
+     "      \"passed\": true,\n"
+     "      \"total\": 2,\n"
+     "      \"unhealthy\": 0,\n"
+     "      \"unhealthy_fraction\": 0.0,\n"
+     "      \"unreachable\": 0,\n"
+     "      \"unreachable_fraction\": 0.0,\n"
+     "      \"wave\": 3\n"
+     "    },\n"
+     "    {\n"
+     "      \"census\": {\n"
+     "        \"dead\": 0,\n"
+     "        \"degraded\": 0,\n"
+     "        \"deploy-failed\": 0,\n"
+     "        \"healthy\": 4,\n"
+     "        \"quarantined\": 0,\n"
+     "        \"unreachable\": 0\n"
+     "      },\n"
+     "      \"passed\": true,\n"
+     "      \"total\": 4,\n"
+     "      \"unhealthy\": 0,\n"
+     "      \"unhealthy_fraction\": 0.0,\n"
+     "      \"unreachable\": 0,\n"
+     "      \"unreachable_fraction\": 0.0,\n"
+     "      \"wave\": 4\n"
+     "    }\n"
+     "  ],\n"
+     "  \"waves\": 4\n"
+     "}\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,status,stdout", [case[1:] for case in SCENARIO_GOLDEN],
+    ids=[case[0] for case in SCENARIO_GOLDEN])
+def test_scenario_command_golden(command, status, stdout,
+                                 helper_prog_file, tmp_path, capsys):
+    journal = str(tmp_path / "journal.jsonl")
+    argv = [arg.replace("PROG", helper_prog_file)
+            .replace("JOURNAL", journal) for arg in command.split()]
+    assert main(argv) == status
+    assert capsys.readouterr().out.replace(str(tmp_path), "TMP") \
+        == stdout
