@@ -23,21 +23,18 @@ class Watchdog:
     def __init__(self, clock: VirtualClock, budget_ns: int,
                  name: str = "extension",
                  on_fire: Optional[Callable[["Watchdog"], None]] = None,
-                 faults: Optional[object] = None,
-                 log: Optional[object] = None) -> None:
+                 faults: Optional[object] = None) -> None:
         if budget_ns <= 0:
             raise ValueError("watchdog budget must be positive")
         self.clock = clock
         self.budget_ns = budget_ns
         self.name = name
-        #: optional kernel log; a fire is then visible in dmesg, which
-        #: is how the recovery audit trail sees watchdog kills
-        self.log = log
         #: total budget exhaustions over this watchdog's lifetime
         self.fire_count = 0
         self.last_fire_ns: Optional[int] = None
         #: invoked exactly once per firing, at the clock tick that
-        #: exhausts the budget (telemetry hooks in here)
+        #: exhausts the budget; telemetry hooks in here and publishes
+        #: the kill, with its dmesg line, as one event
         self.on_fire = on_fire
         #: optional fault-injection plane; the ``watchdog.fire``
         #: failpoint perturbs *delivery*, never cancels it outright
@@ -93,11 +90,6 @@ class Watchdog:
             self.fire_count += 1
             self.last_fire_ns = now_ns
             self.clock.remove_tick_callback(self._callback_name)
-            if self.log is not None:
-                self.log.log(
-                    now_ns,
-                    f"watchdog: extension {self.name!r} exceeded its "
-                    f"{self.budget_ns}ns budget, terminating")
             if self.on_fire is not None:
                 self.on_fire(self)
 

@@ -183,7 +183,7 @@ class ExtensionVm:
             self.kernel.clock, budget, name=prog_name,
             on_fire=lambda wd: telemetry.record_watchdog_fire(
                 "safelang", prog_name, wd.budget_ns),
-            faults=self.kernel.faults, log=self.kernel.log)
+            faults=self.kernel.faults)
         guard = StackGuard()
         runner = _Runner(self, program, rt, watchdog, guard)
         # the fault domain wraps OUTSIDE the balancing finally below:

@@ -23,6 +23,12 @@ class ReproError(Exception):
     """Base class for every error raised by this package."""
 
 
+class UsageError(ReproError):
+    """Outside input a command cannot use: a file that cannot be read
+    or assembled, a spec that does not parse.  ``bpftool`` reports it
+    as one line and exits 2."""
+
+
 # ---------------------------------------------------------------------------
 # Kernel-side safety events
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.faultinject.plane import (
     Schedule,
     Scripted,
     parse_action,
+    parse_rule,
     parse_schedule,
 )
 
@@ -42,5 +43,6 @@ __all__ = [
     "Schedule",
     "Scripted",
     "parse_action",
+    "parse_rule",
     "parse_schedule",
 ]

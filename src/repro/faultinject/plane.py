@@ -413,7 +413,7 @@ class FaultPlane:
         } for arm in self.arms]
 
 
-# -- CLI parsing helpers (shared by bpftool and the chaos harness) ----------
+# -- rule parsing (bpftool's ``--arm`` and ``KernelSpec.fault_arms``) -------
 
 def parse_action(text: str) -> FaultAction:
     """Parse ``errno:ENOMEM`` / ``errno:22`` / ``panic`` / ``dup`` /
@@ -452,3 +452,18 @@ def parse_schedule(text: str) -> Schedule:
         return Scripted([x.strip() in ("1", "true") for x in
                          arg.split(",") if x.strip() != ""])
     raise ValueError(f"unknown fault schedule {text!r}")
+
+
+def parse_rule(text: str) -> Tuple[str, Schedule, FaultAction]:
+    """Parse one ``SITE=SCHEDULE=ACTION`` rule
+    (``helper.*=prob:0.5=errno:EINVAL``) into the arguments of
+    :meth:`FaultPlane.arm`; raises ``ValueError`` naming the rule."""
+    parts = text.split("=")
+    if len(parts) != 3:
+        raise ValueError(
+            f"bad fault rule {text!r}; expected SITE=SCHEDULE=ACTION")
+    site, schedule, action = parts
+    try:
+        return site, parse_schedule(schedule), parse_action(action)
+    except ValueError as error:
+        raise ValueError(f"bad fault rule {text!r}: {error}") from None

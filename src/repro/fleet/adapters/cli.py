@@ -23,17 +23,23 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Dict
+from typing import Dict, List
 
+from repro.errors import UsageError
 from repro.faultinject.chaos import FLEET_SCHEDULES
-from repro.faultinject.plane import FaultAction, NthHit
-from repro.fleet.adapters.sim import FleetScenario, build_scenario
+from repro.fleet.adapters.sim import (
+    FleetScenario,
+    build_scenario,
+    land_through_crashes,
+)
 from repro.fleet.journal import FileJournal, OrchestratorCrash
 from repro.fleet.services.orchestrator import RolloutOrchestrator
 
 
 def _scenario(args: object) -> FleetScenario:
     """Boot the canonical scenario from common CLI arguments."""
+    if args.nodes < 1:
+        raise UsageError(f"--nodes must be at least 1, got {args.nodes}")
     return build_scenario(size=args.nodes, seed=args.seed)
 
 
@@ -147,37 +153,25 @@ def cmd_fleet_resume(args: object) -> int:
         path = handle.name
     if os.path.exists(path):
         os.remove(path)  # a stale journal is not this rollout's
-    scenario.transport.plane.arm(
-        "fleet.orch.crash", NthHit(args.crash_after, every=True),
-        FaultAction.panic())
-    release = _pick_release(scenario, args.release)
-    report = None
-    crashes = 0
-    orchestrator = scenario.orchestrator
-    while report is None:
-        try:
-            if crashes == 0:
-                report = orchestrator.rollout(
-                    release.release_id, seed=args.seed,
-                    journal=FileJournal(path))
-            else:
-                report = orchestrator.resume(FileJournal(path))
-        except OrchestratorCrash as crash:
-            crashes += 1
-            if crashes > 500:
-                raise RuntimeError("crash/resume never converged")
-            if not args.json:
-                print(f"# crash {crashes}: {crash}")
-            # the control plane died: its successor shares only the
-            # journal file and the fleet it already acted on
-            orchestrator = RolloutOrchestrator(
-                scenario.fleet, scenario.registry,
-                telemetry=scenario.telemetry,
-                transport=scenario.transport)
+    crashes: List[OrchestratorCrash] = []
+
+    def successor(crash: OrchestratorCrash) -> RolloutOrchestrator:
+        crashes.append(crash)
+        if not args.json:
+            print(f"# crash {len(crashes)}: {crash}")
+        # the control plane died: its successor shares only the
+        # journal file and the fleet it already acted on
+        return RolloutOrchestrator(
+            scenario.fleet, scenario.registry,
+            telemetry=scenario.telemetry, transport=scenario.transport)
+
+    report = land_through_crashes(
+        scenario, release.release_id, args.seed, args.crash_after,
+        lambda: FileJournal(path), successor)
     match = report.signature() == baseline.signature()
     if args.json:
         body = report.as_dict()
-        body["crashes"] = crashes
+        body["crashes"] = len(crashes)
         body["journal"] = path
         body["journal_records"] = len(FileJournal(path).records())
         body["reference_signature"] = baseline.signature()
@@ -187,13 +181,13 @@ def cmd_fleet_resume(args: object) -> int:
         print(report.render())
         print(f"# journal: {path} "
               f"({len(FileJournal(path).records())} records, "
-              f"{crashes} crashes survived)")
+              f"{len(crashes)} crashes survived)")
         print(f"# uninterrupted signature: {baseline.signature()}")
         print(f"# resumed signature:       {report.signature()}")
         print(f"# bit-identical: {'yes' if match else 'NO'}")
     if args.journal is None:
         os.remove(path)
-    return 0 if match and crashes > 0 else 1
+    return 0 if match and crashes else 1
 
 
 def cmd_fleet_halt(args: object) -> int:

@@ -34,10 +34,15 @@ from repro.ebpf.helpers import ids
 from repro.ebpf.isa import R0
 from repro.ebpf.loader import BpfSubsystem
 from repro.ebpf.progs import ProgType
+from repro.faultinject.plane import FaultAction, NthHit
 from repro.fleet.adapters.node import FleetNode
+from repro.fleet.journal import OrchestratorCrash, RolloutJournal
 from repro.fleet.ports import DeployResult, FleetPort
 from repro.fleet.services.aggregate import FleetTelemetry
-from repro.fleet.services.orchestrator import RolloutOrchestrator
+from repro.fleet.services.orchestrator import (
+    RolloutOrchestrator,
+    RolloutReport,
+)
 from repro.fleet.services.registry import Release, ReleaseRegistry
 from repro.fleet.transport import FleetTransport, RetryPolicy
 from repro.kernel import Kernel, KernelSpec
@@ -48,6 +53,10 @@ TRIGGER_SITE = "helper.bpf_ktime_get_ns"
 
 #: the extension every scenario release versions
 EXTENSION = "xdp-filter"
+
+#: crashes a crash/resume loop survives before it gives up — a safety
+#: valve far above any real replay
+MAX_RESUMES = 500
 
 
 def bad_time_prog() -> List[object]:
@@ -210,3 +219,31 @@ def build_scenario(size: int, seed: int,
         fleet=fleet, registry=registry, orchestrator=orchestrator,
         telemetry=telemetry, baseline=baseline, good=good, bad=bad,
         transport=transport)
+
+
+def land_through_crashes(
+        scenario: FleetScenario, release_id: str, seed: int,
+        crash_every: int, journal: Callable[[], RolloutJournal],
+        successor: Callable[[OrchestratorCrash], RolloutOrchestrator],
+) -> RolloutReport:
+    """The one crash/resume loop: roll ``release_id`` out with
+    ``fleet.orch.crash`` killing the orchestrator every ``crash_every``
+    journal appends, and resume from ``journal()`` after each crash,
+    with the orchestrator ``successor(crash)`` gives, until the rollout
+    lands.  Raises ``RuntimeError`` after :data:`MAX_RESUMES` crashes."""
+    scenario.transport.plane.arm(
+        "fleet.orch.crash", NthHit(crash_every, every=True),
+        FaultAction.panic())
+    orchestrator = scenario.orchestrator
+    crashes = 0
+    while True:
+        try:
+            if crashes == 0:
+                return orchestrator.rollout(release_id, seed=seed,
+                                            journal=journal())
+            return orchestrator.resume(journal())
+        except OrchestratorCrash as crash:
+            crashes += 1
+            if crashes > MAX_RESUMES:
+                raise RuntimeError("crash/resume loop never converged")
+            orchestrator = successor(crash)

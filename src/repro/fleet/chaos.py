@@ -38,14 +38,17 @@ from typing import List, Optional, Sequence
 
 from repro.faultinject.chaos import FLEET_SCHEDULES
 from repro.faultinject.invariants import kernel_violations
-from repro.faultinject.plane import FaultAction, NthHit
 from repro.faultinject.scenario import (
     CaseResult,
     Report,
     case_seed,
     exception_outcome,
 )
-from repro.fleet.adapters.sim import FleetScenario, build_scenario
+from repro.fleet.adapters.sim import (
+    FleetScenario,
+    build_scenario,
+    land_through_crashes,
+)
 from repro.fleet.journal import MemoryJournal, OrchestratorCrash
 
 DEFAULT_SEED = 20230622  # HotOS'23
@@ -54,8 +57,6 @@ DEFAULT_SIZE = 24
 #: (a recurring schedule: the *resumed* orchestrator crashes again
 #: every CRASH_EVERY live appends until the rollout finally lands)
 CRASH_EVERY = 23
-#: safety valve for the resume loop — far above any real replay
-MAX_RESUMES = 200
 
 
 def _check_fleet(scenario: FleetScenario, report: object,
@@ -136,33 +137,28 @@ def run_crash_resume_case(schedule: str, release: str, seed: int,
     finished signature must be bit-identical to the baseline's."""
     scenario = build_scenario(size, seed=seed)
     FLEET_SCHEDULES[schedule](scenario.transport.plane)
-    scenario.transport.plane.arm(
-        "fleet.orch.crash", NthHit(CRASH_EVERY, every=True),
-        FaultAction.panic())
     target = (scenario.bad if release == "bad"
               else scenario.good)
     journal = MemoryJournal()
+    crashes: List[OrchestratorCrash] = []
+
+    def resume_in_place(crash: OrchestratorCrash) -> object:
+        # the orchestrator object outlives its crash; only the
+        # journal carries the rollout across
+        crashes.append(crash)
+        return scenario.orchestrator
+
     violations: List[str] = []
-    report = None
-    resumes = 0
     try:
-        while report is None:
-            try:
-                if resumes == 0:
-                    report = scenario.orchestrator.rollout(
-                        target.release_id, seed=seed, journal=journal)
-                else:
-                    report = scenario.orchestrator.resume(journal)
-            except OrchestratorCrash:
-                resumes += 1
-                if resumes > MAX_RESUMES:
-                    raise RuntimeError(
-                        "crash/resume loop never converged")
+        report = land_through_crashes(
+            scenario, target.release_id, seed, CRASH_EVERY,
+            lambda: journal, resume_in_place)
     except Exception as exc:  # noqa: BLE001 — the point of the harness
         outcome = exception_outcome(
             exc, violations, "the crash/resume leg", legal=())
         return _result(schedule, release, outcome, scenario, None,
-                       resumes, violations)
+                       len(crashes), violations)
+    resumes = len(crashes)
     if resumes == 0:
         violations.append(
             "crash leg never crashed — fleet.orch.crash is dead "

@@ -15,8 +15,9 @@ old constructor, now a thin shim that builds a spec from its two
 legacy keywords) boots a kernel and applies the kernel-side fields;
 ``BpfSubsystem.from_spec(kernel, spec)`` applies the subsystem-side
 ones (JIT, load cache).  Fault arms use the same
-``SITE=SCHEDULE=ACTION`` strings as ``bpftool fault --arm`` so a
-chaos schedule pastes straight into a fleet config.
+``SITE=SCHEDULE=ACTION`` strings as ``bpftool fault --arm``, read by
+the one rule parser (:func:`~repro.faultinject.plane.parse_rule`), so
+a chaos schedule pastes straight into a fleet config.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from repro.faultinject.plane import parse_action, parse_schedule
+from repro.faultinject.plane import parse_rule
 
 
 @dataclass(frozen=True)
@@ -76,35 +77,5 @@ class KernelSpec:
             kernel.enable_recovery(self.recovery_policy)
         if self.fault_seed is not None or self.fault_arms:
             kernel.faults.enable(self.fault_seed or 0)
-            for arm in self.fault_arms:
-                site, schedule, action = split_arm(arm)
-                kernel.faults.arm(site, parse_schedule(schedule),
-                                  parse_action(action))
-
-    def boot(self, funcdb: Optional[object] = None) -> "object":
-        """Build a configured :class:`~repro.kernel.kernel.Kernel`
-        (convenience alias of ``Kernel.from_spec``)."""
-        from repro.kernel.kernel import Kernel
-        return Kernel.from_spec(self, funcdb=funcdb)
-
-    def describe(self) -> str:
-        """One-line form for logs and the fleet CLI."""
-        parts = [f"cpus={self.nr_cpus}"]
-        if self.stats_enabled:
-            parts.append("stats=on")
-        if self.wants_recovery:
-            parts.append("recovery=on")
-        if self.fault_seed is not None or self.fault_arms:
-            parts.append(f"faults(seed={self.fault_seed or 0},"
-                         f"arms={len(self.fault_arms)})")
-        return " ".join(parts)
-
-
-def split_arm(text: str) -> Tuple[str, str, str]:
-    """Split one ``SITE=SCHEDULE=ACTION`` rule (shared with bpftool's
-    ``--arm``); raises ``ValueError`` on malformed input."""
-    parts = text.split("=")
-    if len(parts) != 3:
-        raise ValueError(
-            f"bad fault arm {text!r}; expected SITE=SCHEDULE=ACTION")
-    return parts[0], parts[1], parts[2]
+            for rule in self.fault_arms:
+                kernel.faults.arm(*parse_rule(rule))

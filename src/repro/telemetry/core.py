@@ -249,12 +249,15 @@ class Telemetry:
 
     def record_watchdog_fire(self, framework: str, name: str,
                              budget_ns: int) -> None:
-        """Count a watchdog budget exhaustion and trace the kill."""
+        """Count a watchdog budget exhaustion and publish the kill,
+        with its dmesg line."""
         self.prog(framework, name).watchdog_fires += 1
         self._watchdog.labels(framework, name).inc()
-        self._events.publish("watchdog_kill",
-                             source=program_tag(framework, name),
-                             budget_ns=budget_ns)
+        self._events.publish(
+            "watchdog_kill", source=program_tag(framework, name),
+            dmesg=f"watchdog: extension {name!r} exceeded its "
+                  f"{budget_ns}ns budget, terminating",
+            budget_ns=budget_ns)
 
     def record_panic(self, framework: str, name: str,
                      reason: str) -> None:

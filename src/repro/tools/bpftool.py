@@ -39,12 +39,18 @@ and the telemetry subsystem's view is printed.
 Programs are text-format assembly (see :mod:`repro.ebpf.asm_text`);
 ``map_fd[N]`` references resolve against ``--map`` definitions, which
 are created in order with fds starting at 3.
+
+Input the tool cannot use — a file that cannot be read or assembled, a
+``--map`` or ``--arm`` spec that does not parse, a ``--payload`` that
+is not Latin-1, an unknown scenario, ``--nodes`` below 1 — prints one
+``bpftool: …`` line on stderr and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.analysis.bugs import full_bug_table
@@ -53,11 +59,16 @@ from repro.ebpf.bugs import BugConfig
 from repro.ebpf.disasm import disasm
 from repro.ebpf.helpers.registry import build_default_registry
 from repro.ebpf.interpreter import ENGINES
+from repro.ebpf.isa import Insn
 from repro.ebpf.loader import BpfSubsystem, LoadedProgram
 from repro.ebpf.progs import ProgType
 from repro.errors import (
+    BpfRuntimeError,
+    InvalidProgram,
     KernelOops,
     KernelSafetyViolation,
+    ReproError,
+    UsageError,
     VerifierError,
 )
 from repro.fleet.adapters.cli import (
@@ -68,61 +79,132 @@ from repro.fleet.adapters.cli import (
     cmd_fleet_status,
 )
 from repro.faultinject.chaos import FLEET_SCHEDULES
-from repro.faultinject.plane import (
-    KNOWN_SITES,
-    parse_action,
-    parse_schedule,
-)
-from repro.kernel import Kernel
+from repro.faultinject.plane import KNOWN_SITES
+from repro.kernel import Kernel, KernelSpec
 from repro.telemetry import to_json, to_prometheus
 
-
-def _make_subsystem(args) -> BpfSubsystem:
-    kernel = Kernel()
-    bugs = BugConfig.all_patched() if getattr(args, "patched", False) \
-        else BugConfig()
-    return BpfSubsystem(kernel, bugs=bugs,
-                        engine=getattr(args, "engine", None))
+#: program types that run on a packet carrying ``--payload``; the
+#: others run on the current task
+_PACKET_TYPES = (ProgType.XDP, ProgType.SOCKET_FILTER,
+                 ProgType.CGROUP_SKB)
 
 
-def _create_maps(bpf: BpfSubsystem, specs: List[str]) -> None:
+def _read_program(path: str) -> List[Insn]:
+    """Assemble a text-assembly file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return assemble_text(handle.read())
+    except OSError as error:
+        raise UsageError(f"cannot read {path}: {error.strerror}") \
+            from None
+    except (ValueError, InvalidProgram) as error:
+        # undecodable bytes, a line that does not parse, a label that
+        # is never defined
+        raise UsageError(f"{path}: {error}") from None
+
+
+def _create_maps(bpf: BpfSubsystem, specs: Optional[List[str]]) -> None:
+    """Create the ``--map TYPE[:KEY:VALUE:ENTRIES]`` maps in order."""
     for spec in specs or ():
-        parts = spec.split(":")
-        map_type = parts[0]
-        key_size = int(parts[1]) if len(parts) > 1 else 4
-        value_size = int(parts[2]) if len(parts) > 2 else 8
-        max_entries = int(parts[3]) if len(parts) > 3 else 16
-        created = bpf.create_map(map_type, key_size=key_size,
-                                 value_size=value_size,
-                                 max_entries=max_entries)
+        map_type, *sizes = spec.split(":")
+        try:
+            # omitted sizes default to key 4, value 8 and 16 entries
+            key_size, value_size, max_entries = \
+                [int(size) for size in sizes] + [4, 8, 16][len(sizes):]
+            created = bpf.create_map(map_type, key_size=key_size,
+                                     value_size=value_size,
+                                     max_entries=max_entries)
+        except (ValueError, BpfRuntimeError) as error:
+            raise UsageError(f"bad --map {spec!r}: {error}") from None
         print(f"created {map_type} map fd={created.map_fd} "
               f"key={key_size} value={value_size} "
               f"entries={max_entries}")
 
 
-def _read_program(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return assemble_text(handle.read())
+@dataclass
+class _Outcome:
+    """What :func:`_load_and_run` did."""
+
+    bpf: BpfSubsystem
+    #: the loaded program, which stays loaded while the command holds
+    #: this handle; None when the load failed
+    prog: Optional[LoadedProgram]
+    #: what stopped the load or the runs: the load's VerifierError or
+    #: KernelOops, or the first kernel-safety violation of a run
+    error: Optional[ReproError] = None
+    #: the return value of the last run that finished
+    result: Optional[int] = None
+
+
+def _load_and_run(args, runs: int = 0, *, stats: bool = False,
+                  faults: bool = False, supervised: bool = False,
+                  prog_type: Optional[ProgType] = None,
+                  log_level: int = 1) -> _Outcome:
+    """Boot a fresh kernel, create the ``--map`` maps, load
+    ``args.file`` and run it ``runs`` times.
+
+    The kernel boots with run stats on (``stats``), with the fault
+    plane seeded from ``--seed`` and armed from ``--arm`` (``faults``),
+    or with that plane and the recovery supervisor (``supervised``).
+    A packet-type program runs on a packet carrying ``--payload``, any
+    other on the current task.  The runs stop at the first
+    kernel-safety violation."""
+    program = _read_program(args.file)
+    try:
+        payload = getattr(args, "payload", "").encode("latin-1")
+    except UnicodeEncodeError as error:
+        raise UsageError(f"--payload: {error}") from None
+    armed = faults or supervised
+    try:
+        kernel = Kernel.from_spec(KernelSpec(
+            stats_enabled=stats, recovery=supervised,
+            fault_seed=args.seed if armed else None,
+            fault_arms=tuple(args.arm or ()) if armed else ()))
+    except ValueError as error:  # an --arm rule that does not parse
+        raise UsageError(f"--arm: {error}") from None
+    bugs = BugConfig.all_patched() if args.patched else BugConfig()
+    bpf = BpfSubsystem(kernel, bugs=bugs, engine=args.engine)
+    _create_maps(bpf, args.map)
+    prog_type = prog_type or ProgType(args.type)
+    try:
+        prog = bpf.load_program(program, prog_type, args.file,
+                                log_level=log_level)
+    except (VerifierError, KernelOops) as error:
+        return _Outcome(bpf, None, error)
+    result = None
+    for _ in range(max(runs, 0)):
+        try:
+            if prog_type in _PACKET_TYPES:
+                result = bpf.run_on_packet(prog, payload)
+            else:
+                result = bpf.run_on_current_task(prog)
+        except KernelSafetyViolation as violation:
+            return _Outcome(bpf, prog, violation, result)
+    return _Outcome(bpf, prog, None, result)
+
+
+def _load_failed(run: _Outcome) -> int:
+    """Report a failed load; returns the exit status."""
+    if isinstance(run.error, KernelOops):
+        print(f"KERNEL OOPS DURING LOAD: {run.error}")
+        return 2
+    # an armed load.verify errno lands here too, like a real -EINVAL
+    print(f"VERIFICATION FAILED: {run.error}")
+    return 1
 
 
 def cmd_prog_verify(args) -> int:
     """``prog verify``: run the in-kernel verifier on a file."""
-    bpf = _make_subsystem(args)
-    _create_maps(bpf, args.map)
-    program = _read_program(args.file)
-    prog_type = ProgType(args.type)
-    try:
-        prog = bpf.load_program(program, prog_type, args.file,
-                                log_level=2 if args.log else 1)
-    except VerifierError as error:
+    run = _load_and_run(args, log_level=2 if args.log else 1)
+    if run.prog is None:
         print("VERIFICATION FAILED")
-        print(f"  {error}")
-        if args.log and error.log:
+        print(f"  {run.error}")
+        if args.log and run.error.log:
             print("--- verifier log ---")
-            print(error.log)
+            print(run.error.log)
         return 1
-    stats = prog.verifier_stats
-    print(f"verification OK: {len(program)} insns, "
+    stats = run.prog.verifier_stats
+    print(f"verification OK: {len(run.prog.insns)} insns, "
           f"{stats.insns_processed} steps, "
           f"{stats.states_explored} states stored, "
           f"{stats.prune_hits} prunes, "
@@ -137,75 +219,43 @@ def cmd_prog_verify(args) -> int:
 
 def cmd_prog_run(args) -> int:
     """``prog run``: verify then execute."""
-    bpf = _make_subsystem(args)
-    _create_maps(bpf, args.map)
-    program = _read_program(args.file)
-    prog_type = ProgType(args.type)
-    try:
-        prog = bpf.load_program(program, prog_type, args.file)
-    except VerifierError as error:
-        print(f"VERIFICATION FAILED: {error}")
-        return 1
-    payload = args.payload.encode("latin-1")
-    try:
-        if prog_type in (ProgType.XDP, ProgType.SOCKET_FILTER,
-                         ProgType.CGROUP_SKB):
-            result = bpf.run_on_packet(prog, payload)
-        else:
-            result = bpf.run_on_current_task(prog)
-    except KernelSafetyViolation as violation:
-        print(f"KERNEL COMPROMISED: {violation.category}: {violation}")
+    run = _load_and_run(args, 1)
+    if run.prog is None:
+        return _load_failed(run)
+    kernel = run.bpf.kernel
+    if run.error is not None:
+        print(f"KERNEL COMPROMISED: {run.error.category}: {run.error}")
         print("--- dmesg tail ---")
-        for line in bpf.kernel.log.dmesg().splitlines()[-4:]:
+        for line in kernel.log.dmesg().splitlines()[-4:]:
             print(f"  {line}")
         return 2
-    print(f"return value: {result} ({result:#x})")
-    print(f"kernel healthy: {bpf.kernel.healthy}")
+    print(f"return value: {run.result} ({run.result:#x})")
+    print(f"kernel healthy: {kernel.healthy}")
     if args.dmesg:
         print("--- dmesg ---")
-        print(bpf.kernel.log.dmesg())
+        print(kernel.log.dmesg())
     return 0
 
 
 def cmd_prog_dump(args) -> int:
     """``prog dump``: assemble and pretty-print."""
-    program = _read_program(args.file)
-    print(disasm(program))
+    print(disasm(_read_program(args.file)))
     return 0
 
 
-def _load_and_run_with_stats(
-        args) -> Optional[Tuple[BpfSubsystem, LoadedProgram]]:
-    """Boot a kernel with run stats on, load ``args.file``, run it
-    ``args.repeat`` times.  Returns the subsystem (its telemetry holds
-    the data) and the program's handle, which the command holds so the
-    program stays loaded while it reports; None when verification
-    fails."""
-    bpf = _make_subsystem(args)
-    bpf.kernel.telemetry.enable()
-    _create_maps(bpf, args.map)
-    program = _read_program(args.file)
-    prog_type = ProgType(args.type)
-    try:
-        prog = bpf.load_program(program, prog_type, args.file)
-    except VerifierError as error:
-        print(f"VERIFICATION FAILED: {error}")
-        return None
-    payload = args.payload.encode("latin-1")
-    for _ in range(max(args.repeat, 0)):
-        try:
-            if prog_type in (ProgType.XDP, ProgType.SOCKET_FILTER,
-                             ProgType.CGROUP_SKB):
-                bpf.run_on_packet(prog, payload)
-            else:
-                bpf.run_on_current_task(prog)
-        except KernelSafetyViolation as violation:
-            # the compromise itself is telemetry (oops counters); stop
-            # repeating but still report what was collected
-            print(f"KERNEL COMPROMISED: {violation.category}: "
-                  f"{violation}", file=sys.stderr)
-            break
-    return bpf, prog
+def _run_with_stats(args) -> Tuple[Optional[_Outcome], int]:
+    """Load and run ``args.file`` ``--repeat`` times on a kernel with
+    run stats on; returns the outcome (None when the load failed) and
+    the exit status."""
+    run = _load_and_run(args, args.repeat, stats=True)
+    if run.prog is None:
+        return None, _load_failed(run)
+    if run.error is not None:
+        # the compromise itself is telemetry (oops counters); the runs
+        # stop but the report goes on
+        print(f"KERNEL COMPROMISED: {run.error.category}: "
+              f"{run.error}", file=sys.stderr)
+    return run, 0
 
 
 def cmd_prog_stats(args) -> int:
@@ -216,10 +266,10 @@ def cmd_prog_stats(args) -> int:
     the derived average come straight from the telemetry table.  The
     program's current tier and the VM's compile count follow.
     """
-    loaded = _load_and_run_with_stats(args)
-    if loaded is None:
-        return 1
-    bpf, prog = loaded
+    run, status = _run_with_stats(args)
+    if run is None:
+        return status
+    bpf, prog = run.bpf, run.prog
     rows = bpf.kernel.telemetry.progs.rows()
     print(f"{'prog':24s} {'framework':9s} {'run_cnt':>8} "
           f"{'run_time_ns':>12} {'avg_ns':>8} {'insns':>8} "
@@ -234,36 +284,35 @@ def cmd_prog_stats(args) -> int:
     print(f"prog {prog.prog_id} ({prog.name}): "
           f"tier={bpf.vm.tier(prog)} runs={prog.runs}")
     print(f"vm compiles={bpf.vm.compiles}")
-    return 0
+    return status
 
 
 def cmd_stats_dump(args) -> int:
     """``stats dump``: full telemetry snapshot as JSON or Prometheus
     text exposition format."""
-    loaded = _load_and_run_with_stats(args)
-    if loaded is None:
-        return 1
-    bpf, prog = loaded
+    run, status = _run_with_stats(args)
+    if run is None:
+        return status
+    telemetry = run.bpf.kernel.telemetry
     if args.format == "prometheus":
-        print(to_prometheus(bpf.kernel.telemetry), end="")
+        print(to_prometheus(telemetry), end="")
     else:
-        print(to_json(bpf.kernel.telemetry))
-    return 0
+        print(to_json(telemetry))
+    return status
 
 
 def cmd_trace_log(args) -> int:
     """``trace log``: print the trace as JSONL."""
-    loaded = _load_and_run_with_stats(args)
-    if loaded is None:
-        return 1
-    bpf, prog = loaded
-    trace = bpf.kernel.telemetry.trace
+    run, status = _run_with_stats(args)
+    if run is None:
+        return status
+    trace = run.bpf.kernel.telemetry.trace
     events = trace.events(kind=args.kind or None, limit=args.limit)
     for event in events:
         print(event.to_json())
     print(f"# {len(events)} events shown, {trace.emitted} emitted, "
           f"{trace.dropped} dropped", file=sys.stderr)
-    return 0
+    return status
 
 
 def cmd_helper_list(args) -> int:
@@ -307,72 +356,27 @@ def cmd_fault_list(args) -> int:
     return 0
 
 
-def _arm_plane_from_args(plane, specs: List[str]) -> int:
-    """Arm ``SITE=SCHEDULE=ACTION`` rules from ``--arm`` options;
-    returns 0, or 2 on a malformed spec."""
-    for spec in specs or ():
-        parts = spec.split("=")
-        if len(parts) != 3:
-            print(f"bad --arm {spec!r} "
-                  "(want SITE=SCHEDULE=ACTION)", file=sys.stderr)
-            return 2
-        try:
-            plane.arm(parts[0], parse_schedule(parts[1]),
-                      parse_action(parts[2]))
-        except ValueError as error:
-            print(f"bad --arm {spec!r}: {error}", file=sys.stderr)
-            return 2
-    return 0
-
-
-def _run_under_faults(args):
-    """Load and run ``args.file`` with the fault plane enabled.
-
-    Returns ``(subsystem, exit_status)``; the subsystem is None when
-    loading failed outright."""
-    bpf = _make_subsystem(args)
-    plane = bpf.kernel.faults
-    plane.enable(args.seed)
-    status = _arm_plane_from_args(plane, args.arm)
-    if status:
-        return None, status
-    _create_maps(bpf, args.map)
-    program = _read_program(args.file)
-    prog_type = ProgType(args.type)
-    try:
-        prog = bpf.load_program(program, prog_type, args.file)
-    except VerifierError as error:
-        # an armed load.verify errno lands here, like a real -EINVAL
-        print(f"VERIFICATION FAILED: {error}")
-        return bpf, 1
-    except KernelOops as oops:
-        print(f"KERNEL OOPS DURING LOAD: {oops}")
-        return bpf, 2
-    status = 0
-    payload = args.payload.encode("latin-1")
-    for _ in range(max(args.repeat, 0)):
-        try:
-            if prog_type in (ProgType.XDP, ProgType.SOCKET_FILTER,
-                             ProgType.CGROUP_SKB):
-                bpf.run_on_packet(prog, payload)
-            else:
-                bpf.run_on_current_task(prog)
-        except (KernelSafetyViolation, KernelOops) as violation:
-            # injected panics die through the official panic path;
-            # report it and stop repeating, the trace is the point
-            print(f"KERNEL COMPROMISED: {violation}")
-            status = 2
-            break
-    return bpf, status
+def _run_under_faults(args) -> Tuple[_Outcome, int]:
+    """Load and run ``args.file`` ``--repeat`` times with the fault
+    plane armed; returns the outcome and the exit status.  A failed
+    load or a run the kernel did not survive is reported, and the
+    fault report goes on."""
+    run = _load_and_run(args, args.repeat, faults=True)
+    if run.prog is None:
+        return run, _load_failed(run)
+    if run.error is not None:
+        # injected panics die through the official panic path;
+        # report it and stop repeating, the trace is the point
+        print(f"KERNEL COMPROMISED: {run.error}")
+        return run, 2
+    return run, 0
 
 
 def cmd_fault_enable(args) -> int:
     """``fault enable``: run a program with failpoints armed and
     print every fault the plane delivered."""
-    bpf, status = _run_under_faults(args)
-    if bpf is None:
-        return status
-    plane = bpf.kernel.faults
+    run, status = _run_under_faults(args)
+    plane = run.bpf.kernel.faults
     for record in plane.records:
         print(f"  #{record.seq:<3} {record.site:24s} "
               f"{record.kind}"
@@ -410,63 +414,40 @@ def _alive_line(kernel) -> str:
             f"taint clear)")
 
 
-def _run_supervised(args):
-    """Boot a supervised kernel, load ``args.file``, run it
-    ``args.repeat`` times with any ``--arm`` failpoints active.
-
-    Returns ``(subsystem, supervisor, prog, exit_status)``; the
-    subsystem is None when setup failed."""
-    bpf = _make_subsystem(args)
-    supervisor = bpf.kernel.enable_recovery()
-    plane = bpf.kernel.faults
-    plane.enable(args.seed)
-    status = _arm_plane_from_args(plane, args.arm)
-    if status:
-        return None, None, None, status
-    _create_maps(bpf, args.map)
-    program = _read_program(args.file)
-    prog_type = ProgType(args.type)
-    try:
-        prog = bpf.load_program(program, prog_type, args.file)
-    except VerifierError as error:
-        print(f"VERIFICATION FAILED: {error}")
-        return None, None, None, 1
-    payload = args.payload.encode("latin-1")
-    status = 0
-    for _ in range(max(args.repeat, 0)):
-        try:
-            if prog_type in (ProgType.XDP, ProgType.SOCKET_FILTER,
-                             ProgType.CGROUP_SKB):
-                bpf.run_on_packet(prog, payload)
-            else:
-                bpf.run_on_current_task(prog)
-        except KernelSafetyViolation as violation:
-            # with the supervisor on, only an escalation gets here
-            print(f"ESCALATED: {violation}", file=sys.stderr)
-            status = 2
-            break
-    return bpf, supervisor, prog, status
+def _run_supervised(args) -> Tuple[Optional[_Outcome], int]:
+    """Load and run ``args.file`` ``--repeat`` times on a supervised
+    kernel with any ``--arm`` failpoints active; returns the outcome
+    (None when the load failed) and the exit status."""
+    run = _load_and_run(args, args.repeat, supervised=True)
+    if run.prog is None:
+        return None, _load_failed(run)
+    if run.error is not None:
+        # with the supervisor on, only an escalation gets here
+        print(f"ESCALATED: {run.error}", file=sys.stderr)
+        return run, 2
+    return run, 0
 
 
 def cmd_prog_health(args) -> int:
     """``prog health``: run supervised, print the health table."""
-    bpf, supervisor, _prog, status = _run_supervised(args)
-    if bpf is None:
+    run, status = _run_supervised(args)
+    if run is None:
         return status
-    _print_health(supervisor)
-    print(_alive_line(bpf.kernel))
+    _print_health(run.bpf.kernel.recovery)
+    print(_alive_line(run.bpf.kernel))
     return status
 
 
 def cmd_prog_quarantine(args) -> int:
     """``prog quarantine``: operator-initiated quarantine — load the
     program, park it, and show that runs are refused."""
-    bpf, supervisor, prog, status = _run_supervised(args)
-    if bpf is None:
+    run, status = _run_supervised(args)
+    if run is None:
         return status
-    tag = f"bpf:{prog.name}"
+    supervisor = run.bpf.kernel.recovery
+    tag = f"bpf:{run.prog.name}"
     supervisor.quarantine(tag, reason="operator request")
-    refused = bpf.run_on_current_task(prog)
+    refused = run.bpf.run_on_current_task(run.prog)
     print(f"quarantined {tag}; next run returned {refused:#x} "
           "(-EAGAIN: refused while the breaker is open)")
     _print_health(supervisor)
@@ -476,16 +457,17 @@ def cmd_prog_quarantine(args) -> int:
 def cmd_recover_status(args) -> int:
     """``recover status``: run supervised, print supervisor state and
     the full containment audit trail."""
-    bpf, supervisor, _prog, status = _run_supervised(args)
-    if bpf is None:
+    run, status = _run_supervised(args)
+    if run is None:
         return status
+    supervisor = run.bpf.kernel.recovery
     _print_health(supervisor)
     policy = supervisor.policy
     print(f"supervisor: containments={supervisor.contained_total} "
           f"budget={policy.oops_budget} "
           f"escalations={supervisor.escalations} "
           f"audit_signature={supervisor.audit_signature()[:16]}…")
-    print(_alive_line(bpf.kernel))
+    print(_alive_line(run.bpf.kernel))
     print("--- containment audit trail ---")
     for event in supervisor.audit:
         print(f"  {event.render()}")
@@ -521,14 +503,10 @@ def cmd_net_run(args) -> int:
     program on the simulated data plane and print the roll-up —
     verdict counters, drop reasons, delivery and tail latencies."""
     from repro.net import DataPlane, LoadGen
-    bpf = _make_subsystem(args)
-    _create_maps(bpf, args.map)
-    program = _read_program(args.file)
-    try:
-        prog = bpf.load_program(program, ProgType.XDP, args.file)
-    except VerifierError as error:
-        print(f"VERIFICATION FAILED: {error}")
-        return 1
+    run = _load_and_run(args, prog_type=ProgType.XDP)
+    if run.prog is None:
+        return _load_failed(run)
+    bpf, prog = run.bpf, run.prog
     plane = DataPlane(bpf.kernel, bpf)
     nic = plane.create_nic(1, "bpftool0",
                            queue_depth=args.queue_depth)
@@ -567,10 +545,8 @@ def cmd_net_run(args) -> int:
 def cmd_fault_status(args) -> int:
     """``fault status``: run a program with failpoints armed and
     print per-rule and per-site counters."""
-    bpf, status = _run_under_faults(args)
-    if bpf is None:
-        return status
-    plane = bpf.kernel.faults
+    run, status = _run_under_faults(args)
+    plane = run.bpf.kernel.faults
     print(f"{'pattern':20s} {'schedule':14s} {'action':14s} "
           f"{'hits':>6} {'fires':>6}")
     for row in plane.status():
@@ -584,12 +560,14 @@ def cmd_fault_status(args) -> int:
     return status
 
 
-def _race_scenarios():
-    """name -> builder over both scenario families."""
+def _race_scenario(name: str):
+    """One interleaving scenario's builder, planted or race-free."""
     from repro.faultinject.interleave import PLANTED, RACE_FREE
-    table = {name: builder for name, (builder, _) in PLANTED.items()}
-    table.update(RACE_FREE)
-    return table
+    if name in RACE_FREE:
+        return RACE_FREE[name]
+    if name in PLANTED:
+        return PLANTED[name][0]
+    raise UsageError(f"unknown scenario {name!r} (see 'race list')")
 
 
 def cmd_race_list(args) -> int:
@@ -612,13 +590,8 @@ def cmd_race_run(args) -> int:
     """``race run``: explore seeded interleavings of one scenario and
     print every distinct finding with its replayable seed."""
     from repro.analysis.racehunt import ScheduleExplorer
-    scenarios = _race_scenarios()
-    if args.scenario not in scenarios:
-        print(f"unknown scenario {args.scenario!r} "
-              f"(see 'race list')", file=sys.stderr)
-        return 2
     explorer = ScheduleExplorer(
-        scenarios[args.scenario], nr_cpus=args.cpus,
+        _race_scenario(args.scenario), nr_cpus=args.cpus,
         base_seed=args.seed, migration_rate=args.migration_rate)
     result = explorer.explore(budget=args.budget)
     for finding in result.findings:
@@ -641,12 +614,7 @@ def cmd_race_status(args) -> int:
     """``race status``: replay one exact seed of a scenario and print
     the decision trace tail plus the scheduler roll-up."""
     from repro.analysis.racehunt import replay
-    scenarios = _race_scenarios()
-    if args.scenario not in scenarios:
-        print(f"unknown scenario {args.scenario!r} "
-              f"(see 'race list')", file=sys.stderr)
-        return 2
-    smp = replay(scenarios[args.scenario], args.seed,
+    smp = replay(_race_scenario(args.scenario), args.seed,
                  nr_cpus=args.cpus,
                  migration_rate=args.migration_rate)
     tail = smp.trace[-args.limit:] if args.limit else smp.trace
@@ -667,6 +635,19 @@ def cmd_race_status(args) -> int:
     return 0
 
 
+def _add_load_options(parser: argparse.ArgumentParser) -> None:
+    """The options :func:`_load_and_run` reads besides the file."""
+    parser.add_argument("--map", action="append",
+                        metavar="TYPE[:KEY:VALUE:ENTRIES]",
+                        help="create a map before loading")
+    parser.add_argument("--patched", action="store_true",
+                        help="use a kernel with all modeled bugs fixed")
+    parser.add_argument("--engine", default=None,
+                        choices=list(ENGINES),
+                        help="pin the execution tier (default: the VM "
+                             "picks per program)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -681,15 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("file", help="text-assembly program file")
     common.add_argument("--type", default="kprobe",
                         choices=[t.value for t in ProgType])
-    common.add_argument("--map", action="append",
-                        metavar="TYPE[:KEY:VALUE:ENTRIES]",
-                        help="create a map before loading")
-    common.add_argument("--patched", action="store_true",
-                        help="use a kernel with all modeled bugs fixed")
-    common.add_argument("--engine", default=None,
-                        choices=list(ENGINES),
-                        help="pin the execution tier (default: the VM "
-                             "picks per program)")
+    _add_load_options(common)
 
     verify = prog_sub.add_parser("verify", parents=[common],
                                  help="run the in-kernel verifier")
@@ -790,16 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     net_run = net_sub.add_parser(
         "run", help="drive seeded traffic through an XDP program")
     net_run.add_argument("file", help="text-assembly XDP program")
-    net_run.add_argument("--map", action="append",
-                         metavar="TYPE[:KEY:VALUE:ENTRIES]",
-                         help="create a map before loading")
-    net_run.add_argument("--patched", action="store_true",
-                         help="use a kernel with all modeled bugs "
-                              "fixed")
-    net_run.add_argument("--engine", default=None,
-                         choices=list(ENGINES),
-                         help="pin the execution tier (default: the VM "
-                              "picks)")
+    _add_load_options(net_run)
     net_run.add_argument("--profile", default="uniform",
                          choices=list(_PROFILE_NOTES),
                          help="traffic shape (default: uniform)")
@@ -935,9 +899,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point: the command's exit status, or 2 after one
+    ``bpftool: …`` line on stderr when its input is unusable."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as error:
+        print(f"bpftool: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

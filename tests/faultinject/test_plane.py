@@ -12,6 +12,7 @@ from repro.faultinject.plane import (
     Probability,
     Scripted,
     parse_action,
+    parse_rule,
     parse_schedule,
 )
 
@@ -210,3 +211,25 @@ class TestActionsAndParsing:
     def test_parse_schedule_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_schedule("sometimes")
+
+    def test_parse_rule_gives_the_arm_arguments(self):
+        site, schedule, action = parse_rule("helper.*=nth:2=errno:ENOMEM")
+        assert site == "helper.*"
+        assert schedule.describe() == "nth:2"
+        assert action.describe() == "errno:ENOMEM"
+        plane = make_plane()
+        plane.arm(*parse_rule("map.update=oneshot=panic"))
+        assert plane.status()[0]["pattern"] == "map.update"
+
+    @pytest.mark.parametrize("text,words", [
+        ("nonsense", "SITE=SCHEDULE=ACTION"),
+        ("a=b=c=d", "SITE=SCHEDULE=ACTION"),
+        ("x=sometimes=panic", "unknown fault schedule"),
+        ("x=oneshot=explode", "unknown fault action"),
+        ("x=prob:2=panic", "outside [0, 1]"),
+    ])
+    def test_parse_rule_names_the_bad_rule(self, text, words):
+        with pytest.raises(ValueError) as caught:
+            parse_rule(text)
+        assert repr(text) in str(caught.value)
+        assert words in str(caught.value)

@@ -332,6 +332,55 @@ class TestRecoveryCommands:
                      "--arm", "nonsense"]) == 2
 
 
+#: input no command can use, with a fragment of the one line that
+#: reports it; ``PROG`` is a good program and ``TMP`` the test's
+#: temporary directory, which holds ``binary.s`` (not UTF-8),
+#: ``garbage.s`` (a line that does not parse) and ``label.s`` (a jump
+#: to a label that is never defined)
+BAD_INPUT = [
+    ("prog run TMP/missing.s", "cannot read TMP/missing.s: No such"),
+    ("prog verify TMP", "cannot read TMP: Is a directory"),
+    ("prog dump TMP/missing.s", "cannot read TMP/missing.s"),
+    ("prog stats TMP/binary.s", "codec can't decode"),
+    ("stats dump TMP/garbage.s", "line 1: cannot parse 'r0 ='"),
+    ("trace log TMP/label.s", "undefined label 'nowhere'"),
+    ("prog run PROG --map array:x", "bad --map 'array:x'"),
+    ("fault enable PROG --map bogus", "unknown map type 'bogus'"),
+    ("net run PROG --map array:4:8:0", "invalid map geometry"),
+    ("prog health PROG --map hash:4:8:4 --map array:4::16",
+     "bad --map 'array:4::16'"),
+    ("prog run PROG --type xdp --payload \u20ac",
+     "--payload: 'latin-1' codec can't encode"),
+    ("fleet status --nodes 0", "--nodes must be at least 1, got 0"),
+    ("fleet resume --nodes 0", "--nodes must be at least 1"),
+    ("fleet rollout --nodes -3", "--nodes must be at least 1"),
+    ("prog run PROG --map array:4:8:16:1", "bad --map 'array:4:8:16:1'"),
+    ("fault status PROG --arm x=prob:2=panic",
+     "--arm: bad fault rule 'x=prob:2=panic': probability 2.0 outside"),
+    ("race status no_such_scenario", "unknown scenario"),
+]
+
+
+class TestBadInput:
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "binary.s").write_bytes(b"\xff\xfe\n")
+        (tmp_path / "garbage.s").write_text("r0 =\nexit\n")
+        (tmp_path / "label.s").write_text("goto nowhere\nexit\n")
+        return tmp_path
+
+    @pytest.mark.parametrize("command,words", BAD_INPUT,
+                             ids=[case[0] for case in BAD_INPUT])
+    def test_one_line_and_exit_2(self, command, words, files, prog_file,
+                                 capsys):
+        argv = [arg.replace("PROG", prog_file).replace("TMP", str(files))
+                for arg in command.split()]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.replace(str(files), "TMP")
+        assert err.startswith("bpftool: ") and err.count("\n") == 1
+        assert words in err
+
+
 class TestFleetCommands:
     def test_fleet_status_shows_certificates(self, capsys):
         assert main(["fleet", "status", "--nodes", "4", "--seed", "1"]) \

@@ -74,10 +74,3 @@ class TestSubsystemSide:
         leakcheck(kernel)
         bpf = BpfSubsystem.from_spec(kernel)
         assert bpf.use_jit is False
-
-    def test_describe_is_one_line(self):
-        spec = KernelSpec(recovery=True, stats_enabled=True).with_faults(
-            3, "x=oneshot=panic")
-        text = spec.describe()
-        assert "recovery=on" in text
-        assert "seed=3" in text

@@ -136,7 +136,9 @@ class TestWatchdogVisibility:
         kernel = Kernel()
         leakcheck(kernel)
         dog = Watchdog(kernel.clock, budget_ns=1_000, name="victim",
-                       log=kernel.log)
+                       on_fire=lambda wd: kernel.telemetry
+                       .record_watchdog_fire("safelang", wd.name,
+                                             wd.budget_ns))
         dog.arm()
         kernel.clock.advance(2_000)
         assert dog.fired

@@ -169,6 +169,20 @@ class TestSafelangStats:
         assert len(kills) == 1
         assert kills[0].data["budget_ns"] == 10_000
 
+    def test_watchdog_kill_is_one_event(self, kernel, fw):
+        """The kill is one event, and its dmesg line renders from it."""
+        loaded = fw.install(SPIN, "spin", watchdog_budget_ns=10_000)
+        before = sum(kernel.events.emitted.values())
+        fw.run_on_packet(loaded, b"x")
+        assert sum(kernel.events.emitted.values()) - before == 1
+        event = kernel.events.ring[-1]
+        assert (event.kind, event.source) == \
+            ("watchdog_kill", "safelang:spin")
+        assert event.lines() == (
+            "watchdog: extension 'spin' exceeded its 10000ns budget, "
+            "terminating",)
+        assert kernel.log.records[-1] is event
+
     def test_watchdog_fire_counted_even_with_stats_off(self, kernel,
                                                        fw):
         assert not kernel.telemetry.stats_enabled
