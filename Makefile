@@ -22,7 +22,7 @@ coverage:
 # the isolation invariants, and prove the replay is a pure function
 # of the seed by running it twice.  Every scenario target below runs
 # `python -m repro.scenarios <suite>`, which always runs its suite
-# twice and compares signatures; append `--smoke` for CI's profile.
+# twice and compares signatures.
 chaos:
 	PYTHONPATH=src python -m repro.scenarios chaos
 

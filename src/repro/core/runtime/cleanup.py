@@ -54,10 +54,6 @@ class CleanupList:
                 "cleanup list capacity exceeded; extension terminated")
         self._entries.append(resource)
 
-    def release_scope_exit(self, resource: KernelResource) -> None:
-        """Normal RAII: a value went out of scope."""
-        resource.release()
-
     def terminate(self) -> int:
         """Abnormal termination (watchdog, panic): run every pending
         trusted destructor, newest first.  Returns how many ran."""

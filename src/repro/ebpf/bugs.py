@@ -65,7 +65,3 @@ class BugConfig:
     def as_dict(self) -> Dict[str, bool]:
         """Flag name -> enabled."""
         return dict(self.__dict__)
-
-    def enabled_count(self) -> int:
-        """How many modeled bugs are live."""
-        return sum(self.as_dict().values())

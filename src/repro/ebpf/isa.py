@@ -134,7 +134,6 @@ BPF_PSEUDO_FUNC = 4
 MAX_BPF_STACK = 512
 
 U64_MAX = (1 << 64) - 1
-U32_MAX = (1 << 32) - 1
 
 
 def sign_extend(value: int, bits: int) -> int:
@@ -153,11 +152,6 @@ def to_u64(value: int) -> int:
 def to_s64(value: int) -> int:
     """Truncate to signed 64-bit."""
     return sign_extend(value, 64)
-
-
-def to_u32(value: int) -> int:
-    """Truncate to unsigned 32-bit."""
-    return value & U32_MAX
 
 
 @dataclass(frozen=True)

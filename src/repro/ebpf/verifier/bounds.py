@@ -20,10 +20,6 @@ from repro.ebpf.verifier.regstate import (
 from repro.ebpf.verifier.tnum import Tnum
 
 
-def _wrap_u(x: int) -> int:
-    return x & U64_MAX
-
-
 def alu_add(dst: RegState, src: RegState) -> None:
     """dst += src."""
     # signed: overflow in either bound poisons both

@@ -26,7 +26,7 @@ tasks, and returns a fingerprint callable evaluating to the
 **placement-invariant** final state (schedule-dependent intermediate
 values stay out, so the nproc differential can hash it).
 
-Run it: ``python -m repro.scenarios race [--seed S] [--smoke]`` (the
+Run it: ``python -m repro.scenarios race [--seed S]`` (the
 ``make race`` target); exits nonzero if a planted bug goes unfound, a
 replay seed fails to reproduce, or the race-free corpus produces a
 finding or a signature mismatch.

@@ -20,20 +20,23 @@ models that control plane over hundreds of simulated kernels:
   (:class:`~repro.fleet.services.aggregate.FleetTelemetry`) and the
   orchestrator that drives a rollout to completion or rolls it back
   (:class:`~repro.fleet.services.orchestrator.RolloutOrchestrator`).
-* :mod:`repro.fleet.ports` — the boundary the services drive the
-  fleet through; the orchestrator never touches a ``Kernel``.
+* :mod:`repro.fleet.ports` — the vocabulary nodes answer in (the
+  census states, :class:`~repro.fleet.ports.DeployResult`); the
+  services never touch a ``Kernel``.
 * :mod:`repro.fleet.adapters` — the in-process simulated fleet
-  (:class:`~repro.fleet.adapters.sim.SimFleet`, hundreds of
-  :class:`~repro.kernel.kernel.Kernel` instances stamped from one
+  (:class:`~repro.fleet.adapters.sim.SimFleet`, the directory of
+  hundreds of :class:`~repro.fleet.adapters.node.FleetNode` agents,
+  each a :class:`~repro.kernel.kernel.Kernel` stamped from one
   :class:`~repro.kernel.spec.KernelSpec`) and the ``bpftool fleet``
   CLI adapter.
 * :mod:`repro.fleet.transport` — the unreliable control channel:
   every orchestrator→node operation travels as an
   :class:`~repro.fleet.transport.RpcRequest` through
-  :class:`~repro.fleet.transport.FleetTransport`, where seeded
-  failpoints drop, delay, duplicate or partition it and the client
-  retries with exponential backoff; nodes the channel cannot raise
-  land in the ``unreachable`` census state.
+  :class:`~repro.fleet.transport.FleetTransport` to the node agent's
+  method of the same name, while seeded failpoints drop, delay,
+  duplicate or partition it and the client retries with exponential
+  backoff; nodes the channel cannot raise land in the
+  ``unreachable`` census state.
 * :mod:`repro.fleet.journal` — the rollout write-ahead journal
   (:class:`~repro.fleet.journal.MemoryJournal`,
   :class:`~repro.fleet.journal.FileJournal`):
@@ -46,7 +49,7 @@ census, pinned by a SHA-256 signature over the wave log — whether the
 rollout ran straight through or crashed and resumed.
 """
 
-from repro.fleet.ports import DeployResult, FleetPort, NODE_STATES
+from repro.fleet.ports import DeployResult, NODE_STATES
 from repro.fleet.journal import (
     FileJournal,
     MemoryJournal,
@@ -83,7 +86,6 @@ __all__ = [
     "DeployResult",
     "FileJournal",
     "FleetNode",
-    "FleetPort",
     "FleetTelemetry",
     "FleetTransport",
     "MemoryJournal",

@@ -1,9 +1,10 @@
 """Fleet adapters: the concrete edges of the control plane.
 
 * :mod:`~repro.fleet.adapters.node` / :mod:`~repro.fleet.adapters.sim`
-  — the driven side: an in-process fleet of simulated kernels behind
-  :class:`~repro.fleet.ports.FleetPort`, plus the canonical demo
-  scenario (one good release, one planted bad release).
+  — the driven side: an in-process fleet of simulated kernels, each
+  behind a node agent that answers the control channel's RPCs, plus
+  the canonical demo scenario (one good release, one planted bad
+  release).
 * :mod:`~repro.fleet.adapters.cli` — the driving side: what the
   ``bpftool fleet`` subcommands call.
 """

@@ -25,7 +25,6 @@ import os
 import tempfile
 from typing import Dict, List
 
-from repro.errors import UsageError
 from repro.faultinject.chaos import FLEET_SCHEDULES
 from repro.fleet.adapters.sim import (
     FleetScenario,
@@ -38,8 +37,6 @@ from repro.fleet.services.orchestrator import RolloutOrchestrator
 
 def _scenario(args: object) -> FleetScenario:
     """Boot the canonical scenario from common CLI arguments."""
-    if args.nodes < 1:
-        raise UsageError(f"--nodes must be at least 1, got {args.nodes}")
     return build_scenario(size=args.nodes, seed=args.seed)
 
 
@@ -74,7 +71,7 @@ def cmd_fleet_status(args: object) -> int:
     fleet = scenario.fleet
     census: Dict[str, int] = {}
     for node_id in fleet.node_ids():
-        state = fleet.census(node_id)
+        state = fleet.node(node_id).census()
         census[state] = census.get(state, 0) + 1
     if args.json:
         print(json.dumps({

@@ -10,12 +10,17 @@ Health is *not* polled out of supervisor internals — the node
 subscribes to its own kernel's event stream and tracks the last
 ``health`` transition for the running release's tag, exactly what an
 external agent could see.
+
+The agent's public methods — :meth:`FleetNode.deploy`, ``rollback``,
+``quarantine``, ``soak``, ``census`` and ``current_release`` — are the
+RPCs the control channel (:mod:`repro.fleet.transport`) delivers: an
+RPC's method name is the agent method it runs.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.signing import SigningKey
 from repro.ebpf.loader import BpfSubsystem
@@ -175,6 +180,10 @@ class FleetNode:
         except KernelPanic:
             pass
 
+    def current_release(self) -> Optional[str]:
+        """The release id this node runs (None before preinstall)."""
+        return self.current.release_id if self.current else None
+
     def census(self) -> str:
         """This node's health classification (see
         :data:`~repro.fleet.ports.NODE_STATES`)."""
@@ -185,18 +194,3 @@ class FleetNode:
         if self.deploy_failed:
             return "deploy-failed"
         return self._health
-
-    def snapshot(self) -> Dict[str, object]:
-        """Compact roll-up for the fleet aggregator; also publishes a
-        ``telemetry`` event on the node's stream (the kernel-side
-        half of the census)."""
-        event = self.kernel.emit_telemetry_snapshot()
-        return {
-            "node": self.node_id,
-            "release": (self.current.release_id
-                        if self.current else None),
-            "health": self.census(),
-            "oopses": event.get("oopses"),
-            "contained": event.get("contained"),
-            "clock_ns": event.get("clock_ns"),
-        }

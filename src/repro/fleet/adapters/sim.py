@@ -1,9 +1,10 @@
 """The in-process simulated fleet, and the canonical demo scenario.
 
-:class:`SimFleet` implements :class:`~repro.fleet.ports.FleetPort`
-over N :class:`~repro.fleet.adapters.node.FleetNode` instances, every
-node stamped from the same :class:`~repro.kernel.spec.KernelSpec` —
-one image, N machines.  :func:`build_scenario` assembles the whole
+:class:`SimFleet` is the directory of N
+:class:`~repro.fleet.adapters.node.FleetNode` instances, every node
+stamped from the same :class:`~repro.kernel.spec.KernelSpec` — one
+image, N machines; the control channel delivers each RPC to the node
+it names.  :func:`build_scenario` assembles the whole
 control plane around it with three published releases of the same
 extension:
 
@@ -26,7 +27,7 @@ load key every node computes: no node runs its verifier on a release.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.signing import SigningKey
 from repro.ebpf.asm import Asm
@@ -37,7 +38,7 @@ from repro.ebpf.progs import ProgType
 from repro.faultinject.plane import FaultAction, NthHit
 from repro.fleet.adapters.node import FleetNode
 from repro.fleet.journal import OrchestratorCrash, RolloutJournal
-from repro.fleet.ports import DeployResult, FleetPort
+from repro.fleet.ports import DeployResult
 from repro.fleet.services.aggregate import FleetTelemetry
 from repro.fleet.services.orchestrator import (
     RolloutOrchestrator,
@@ -86,8 +87,8 @@ def boot_toolchain(spec: KernelSpec) -> BpfSubsystem:
     return BpfSubsystem.from_spec(Kernel.from_spec(spec))
 
 
-class SimFleet(FleetPort):
-    """N simulated kernels behind the fleet port."""
+class SimFleet:
+    """The node directory: N simulated kernels, by node id."""
 
     def __init__(self, size: int, spec: KernelSpec,
                  trusted_key: SigningKey,
@@ -102,7 +103,7 @@ class SimFleet(FleetPort):
             self._nodes[node_id] = FleetNode(
                 node_id, spec, trusted_key)
 
-    def _node(self, node_id: str) -> FleetNode:
+    def node(self, node_id: str) -> FleetNode:
         """Resolve a node id, loudly."""
         node = self._nodes.get(node_id)
         if node is None:
@@ -114,12 +115,15 @@ class SimFleet(FleetPort):
         the kernel-isolation leak check)."""
         return [self._nodes[node_id] for node_id in self.node_ids()]
 
+    def node_ids(self) -> List[str]:
+        """Every node id, sorted."""
+        return sorted(self._nodes)
+
     def preinstall(self, release: Release) -> List[DeployResult]:
         """Day-0 image: deploy ``release`` to every node outside any
         rollout; raises if a node refuses (a fleet that cannot run
         its baseline is a broken scenario, not an outcome)."""
-        results = [self._node(node_id).deploy(release)
-                   for node_id in self.node_ids()]
+        results = [node.deploy(release) for node in self.nodes()]
         failed = [r for r in results if not r.ok]
         if failed:
             raise RuntimeError(
@@ -127,49 +131,10 @@ class SimFleet(FleetPort):
                 f"(first: {failed[0].as_dict()})")
         return results
 
-    # -- FleetPort ------------------------------------------------------------
-
-    def node_ids(self) -> List[str]:
-        """Every node id, sorted."""
-        return sorted(self._nodes)
-
-    def deploy(self, node_id: str, release: Release) -> DeployResult:
-        """Push a release to one node (see
-        :meth:`~repro.fleet.adapters.node.FleetNode.deploy`)."""
-        return self._node(node_id).deploy(release)
-
-    def rollback(self, node_id: str) -> Optional[str]:
-        """Restore one node's previous release."""
-        return self._node(node_id).rollback()
-
-    def quarantine(self, node_id: str, reason: str) -> bool:
-        """Park one node (stuck mid-rollback: quarantined, not
-        forgotten)."""
-        return self._node(node_id).quarantine(reason)
-
-    def soak(self, node_id: str, runs: int) -> None:
-        """Drive canonical soak traffic through one node."""
-        self._node(node_id).soak(runs)
-
-    def census(self, node_id: str) -> str:
-        """One node's health classification."""
-        return self._node(node_id).census()
-
     def current_release(self, node_id: str) -> Optional[str]:
-        """The release id a node currently runs."""
-        node = self._node(node_id)
-        return node.current.release_id if node.current else None
-
-    def subscribe(self, node_id: str,
-                  handler: Callable[[object], None],
-                  kinds: Optional[Tuple[str, ...]] = None) -> object:
-        """Subscribe to one node's kernel event stream."""
-        return self._node(node_id).kernel.events.subscribe(
-            handler, kinds=kinds)
-
-    def snapshot(self, node_id: str) -> Dict[str, object]:
-        """One node's telemetry roll-up."""
-        return self._node(node_id).snapshot()
+        """The release id a node currently runs, read directly (not
+        over the control channel)."""
+        return self.node(node_id).current_release()
 
 
 @dataclass
@@ -209,7 +174,7 @@ def build_scenario(size: int, seed: int,
     fleet = SimFleet(size, spec, trusted_key=registry.key)
     fleet.preinstall(baseline)
     telemetry = FleetTelemetry()
-    telemetry.observe(fleet)
+    telemetry.observe([node.kernel.events for node in fleet.nodes()])
     transport = FleetTransport(fleet, policy=retry_policy, seed=seed)
     transport.plane.enable(seed)
     orchestrator = RolloutOrchestrator(fleet, registry,

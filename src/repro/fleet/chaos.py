@@ -28,8 +28,7 @@ checks:
 5. **Determinism** — the scenario runner replays the whole suite
    twice and compares report signatures.
 
-Run it: ``PYTHONPATH=src python -m repro.scenarios fleet-chaos``
-(``--smoke`` is CI's smaller fleet and schedule list).
+Run it: ``PYTHONPATH=src python -m repro.scenarios fleet-chaos``.
 """
 
 from __future__ import annotations

@@ -1,17 +1,16 @@
-"""The port the rollout services drive the fleet through.
+"""The vocabulary the control plane and its nodes share.
 
-Hexagonal boundary: everything in :mod:`repro.fleet.services` talks to
-nodes exclusively via :class:`FleetPort` — deploy, soak, census,
-rollback, subscribe — and never imports a :class:`Kernel`.  The
-in-process simulated fleet (:mod:`repro.fleet.adapters.sim`) is the
-one implementation today; the seam is what makes the orchestrator
-testable against a handful of nodes and runnable against hundreds.
+A node answers a rollout's RPCs with values from this module: a
+:class:`DeployResult` for each deploy, and one of
+:data:`NODE_STATES` for each health census.  The services in
+:mod:`repro.fleet.services` read them without importing a
+:class:`Kernel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 #: the health census vocabulary, in escalating order of trouble.
 #: ``healthy``/``degraded``/``quarantined`` mirror the supervisor's
@@ -51,64 +50,3 @@ class DeployResult:
         return {"node_id": self.node_id, "release_id": self.release_id,
                 "ok": self.ok, "error": self.error,
                 "detail": self.detail}
-
-
-class FleetPort:
-    """What the control plane may do to a fleet (driven port).
-
-    Implementations must be deterministic: :meth:`node_ids` has a
-    stable order, and every method's effect is a pure function of the
-    call sequence and the nodes' seeds.
-    """
-
-    def node_ids(self) -> List[str]:
-        """Every node in the fleet, in stable (sorted) order."""
-        raise NotImplementedError
-
-    def deploy(self, node_id: str, release: object) -> DeployResult:
-        """Push a signed release to one node: verify the signature,
-        load through the node's pipeline, attach.  Never raises —
-        failures come back in the :class:`DeployResult`."""
-        raise NotImplementedError
-
-    def rollback(self, node_id: str) -> Optional[str]:
-        """Revert one node to the release it ran before the current
-        one; returns the restored release id, or None when the node
-        has nothing to roll back to (or is dead)."""
-        raise NotImplementedError
-
-    def quarantine(self, node_id: str, reason: str) -> bool:
-        """Park one node: quarantine its running release's breaker via
-        the node's supervisor and mark the node agent quarantined (its
-        census reports ``quarantined`` until the operator intervenes).
-        The orchestrator uses this for nodes stuck mid-rollback —
-        quarantined, not forgotten.  Returns True when the node
-        acknowledged."""
-        raise NotImplementedError
-
-    def soak(self, node_id: str, runs: int) -> None:
-        """Drive ``runs`` representative invocations through the
-        node's hook chain so the supervisor can observe the release."""
-        raise NotImplementedError
-
-    def census(self, node_id: str) -> str:
-        """The node's health classification (one of
-        :data:`NODE_STATES`) for its current release."""
-        raise NotImplementedError
-
-    def current_release(self, node_id: str) -> Optional[str]:
-        """The release id the node currently runs (None pre-install)."""
-        raise NotImplementedError
-
-    def subscribe(self, node_id: str,
-                  handler: Callable[[object], None],
-                  kinds: Optional[Tuple[str, ...]] = None) -> object:
-        """Subscribe to one node's kernel event stream (see
-        :class:`~repro.kernel.events.EventBus`); returns the
-        subscription handle."""
-        raise NotImplementedError
-
-    def snapshot(self, node_id: str) -> Dict[str, object]:
-        """A compact telemetry roll-up for one node (the aggregator's
-        per-node census source)."""
-        raise NotImplementedError

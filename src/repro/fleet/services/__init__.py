@@ -1,7 +1,9 @@
 """The fleet control plane's pure core.
 
-Five services, each alone in its module, all driving the fleet through
-:class:`~repro.fleet.ports.FleetPort` and none importing a kernel:
+Five services, each alone in its module, none importing a kernel: the
+orchestrator reaches nodes only through the control channel
+(:class:`~repro.fleet.transport.FleetTransport`), and the aggregator
+sees only the events on the nodes' buses:
 
 * :mod:`~repro.fleet.services.registry` — signed release images
 * :mod:`~repro.fleet.services.planner` — staged wave planning

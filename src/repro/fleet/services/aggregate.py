@@ -1,10 +1,10 @@
 """Fleet-wide telemetry: one dashboardable export for N kernels.
 
-Each simulated kernel already exports its own metrics (PR 2); a fleet
-needs the roll-up.  :class:`FleetTelemetry` subscribes to every node's
-kernel event stream through the fleet port — oopses, health
-transitions, loads, soft resets — and folds the orchestrator's wave
-verdicts and rollout outcomes into one
+Each simulated kernel already exports its own metrics; a fleet needs
+the roll-up.  :class:`FleetTelemetry` subscribes to every node's
+kernel event stream — oopses, health transitions, loads, soft resets
+— and folds the orchestrator's wave verdicts and rollout outcomes
+into one
 :class:`~repro.telemetry.metrics.MetricsRegistry`, exported as a JSON
 snapshot or a Prometheus scrape body (the same exposition format as
 the per-kernel exporter, rendered by the shared
@@ -20,12 +20,12 @@ from repro.telemetry.export import registry_to_prometheus
 from repro.telemetry.metrics import MetricsRegistry
 
 #: the node event kinds the fleet counts (log and trace stay local)
-OBSERVED = ("load", "oops", "health", "soft-reset", "telemetry")
+OBSERVED = ("load", "oops", "health", "soft-reset")
 
 
 class FleetTelemetry:
     """The fleet's observability hub (pure service: it only ever sees
-    the port and event objects, never a kernel)."""
+    event buses and event objects, never a kernel)."""
 
     def __init__(self) -> None:
         """Create an empty aggregator and its metric families."""
@@ -69,16 +69,16 @@ class FleetTelemetry:
 
     # -- event-stream side ----------------------------------------------------
 
-    def observe(self, fleet: object) -> int:
-        """Subscribe to every node's event stream via the port;
-        returns how many nodes are now observed.  Safe to call once
-        per fleet — double observation would double-count."""
-        node_ids = fleet.node_ids()
-        for node_id in node_ids:
+    def observe(self, buses: List[object]) -> int:
+        """Subscribe to every node's event stream, given as its
+        :class:`~repro.kernel.events.EventBus`; returns how many nodes
+        are now observed.  Safe to call once per fleet — double
+        observation would double-count."""
+        for bus in buses:
             self._subscriptions.append(
-                fleet.subscribe(node_id, self._on_event, kinds=OBSERVED))
-        self._fleet_size.labels().set(len(node_ids))
-        return len(node_ids)
+                bus.subscribe(self._on_event, kinds=OBSERVED))
+        self._fleet_size.labels().set(len(buses))
+        return len(buses)
 
     def _on_event(self, event: object) -> None:
         """Fold one kernel event into the fleet counters."""

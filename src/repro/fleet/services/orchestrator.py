@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.fleet.journal import (
     MemoryJournal,
     OrchestratorCrash,
     RolloutJournal,
 )
-from repro.fleet.ports import DeployResult, FleetPort
+from repro.fleet.ports import DeployResult
 from repro.fleet.services.canary import CanaryEvaluator, CanaryVerdict
 from repro.fleet.services.planner import RolloutPlanner, Wave
 from repro.fleet.services.registry import Release, ReleaseRegistry
@@ -185,16 +185,19 @@ class ResumeDiverged(RuntimeError):
 class RolloutOrchestrator:
     """Drives releases through a fleet, one rollout at a time."""
 
-    def __init__(self, fleet: FleetPort, registry: ReleaseRegistry,
+    def __init__(self, fleet: object, registry: ReleaseRegistry,
                  planner: Optional[RolloutPlanner] = None,
                  canary: Optional[CanaryEvaluator] = None,
                  telemetry: Optional[object] = None,
                  transport: Optional[FleetTransport] = None) -> None:
-        """Wire the services together; ``telemetry`` (a
+        """Wire the services together over ``fleet``, the node
+        directory (a :class:`~repro.fleet.adapters.sim.SimFleet`) that
+        lists the nodes a rollout plans over; every node operation
+        goes through ``transport``.  ``telemetry`` (a
         :class:`~repro.fleet.services.aggregate.FleetTelemetry`) is
         optional — rollouts work headless.  ``transport`` defaults to
-        a transparent envelope around ``fleet`` (no faults armed, one
-        wire-latency tick per call)."""
+        a transparent channel to ``fleet``'s nodes (no faults armed,
+        one wire-latency tick per call)."""
         self.fleet = fleet
         self.registry = registry
         self.planner = planner or RolloutPlanner()
@@ -322,10 +325,13 @@ class RolloutOrchestrator:
         self._crash_point()
         return entry
 
-    def _call(self, method: str, node_id: str,
-              *args: object) -> RpcOutcome:
-        """One logical RPC through the transport, write-ahead
-        journaled — or replayed from the journal on resume."""
+    def _call(self, method: str, node_id: str, *args: object,
+              perform: Optional[Callable[[RpcRequest], RpcOutcome]] = None,
+              ) -> RpcOutcome:
+        """One logical op, write-ahead journaled: an RPC through the
+        transport, or ``perform``'s local step (a sweep pause).
+        Inside a resumed rollout's journaled prefix the journal gives
+        back the recorded outcome instead."""
         self._op_seq += 1
         key = f"r{self._rid:03d}:{self._op_seq:05d}:{method}:{node_id}"
         if self._op_seq <= self._replay_op_count:
@@ -335,45 +341,36 @@ class RolloutOrchestrator:
                     f"resume produced op {key!r} which the journal "
                     "does not record")
             body = recorded["outcome"]
-            outcome = RpcOutcome(
+            return RpcOutcome(
                 request_id=key, method=method, node_id=node_id,
                 ok=bool(body["ok"]),
                 value=_decode_value(recorded["value"]),
                 error=str(body["error"]),
                 attempts=int(body["attempts"]))
-        else:
-            outcome = self.transport.call(RpcRequest(
-                request_id=key, method=method, node_id=node_id,
-                args=args))
-            self._journal.append_op(key, outcome.as_dict(),
-                                    _encode_value(outcome.value))
-            # journaled: neither a retry nor a resume sends this key
-            # again, so the node can retire its cached reply
-            self.transport.acknowledge(key)
-            self._appended += 1
-            self._crash_point()
+        request = RpcRequest(request_id=key, method=method,
+                             node_id=node_id, args=args)
+        outcome = (self.transport.call(request) if perform is None
+                   else perform(request))
+        self._journal.append_op(key, outcome.as_dict(),
+                                _encode_value(outcome.value))
+        # journaled: neither a retry nor a resume sends this key
+        # again, so the node can retire its cached reply
+        self.transport.acknowledge(key)
+        self._appended += 1
+        self._crash_point()
         return outcome
 
     def _pause(self, label: str) -> None:
         """A deliberate control-clock pause (between rollback
         sweeps), journaled like an op so resume does not re-advance
         replayed time."""
-        self._op_seq += 1
-        key = f"r{self._rid:03d}:{self._op_seq:05d}:pause:{label}"
-        if self._op_seq <= self._replay_op_count:
-            if key not in self._replay_ops:
-                raise ResumeDiverged(
-                    f"resume produced pause {key!r} which the "
-                    "journal does not record")
-            return
-        self.transport.clock.advance(
-            self.transport.policy.sweep_pause_ns)
-        self._journal.append_op(
-            key, {"request_id": key, "method": "pause",
-                  "node_id": label, "ok": True, "error": "",
-                  "attempts": 0}, None)
-        self._appended += 1
-        self._crash_point()
+        def pause(request: RpcRequest) -> RpcOutcome:
+            self.transport.clock.advance(
+                self.transport.policy.sweep_pause_ns)
+            return RpcOutcome(request_id=request.request_id,
+                              method=request.method,
+                              node_id=request.node_id, ok=True)
+        self._call("pause", label, perform=pause)
 
     def _account(self, report: RolloutReport,
                  outcome: RpcOutcome) -> None:
@@ -398,7 +395,7 @@ class RolloutOrchestrator:
             self._finish(report)
             return report
 
-        node_ids = self.transport.node_ids()
+        node_ids = self.fleet.node_ids()
         waves = self.planner.plan(node_ids, seed)
         self._log(
             report, "plan", release=release_id, seed=seed,
@@ -502,7 +499,7 @@ class RolloutOrchestrator:
         Unreachable nodes are retried in bounded convergence sweeps
         (partitions heal, crashed agents reboot — each sweep pauses
         the control clock first).  A node whose rollback fails *on
-        the node* is quarantined through the port and surfaced in
+        the node* is quarantined over the channel and surfaced in
         ``report.stuck_nodes`` — parked, not forgotten."""
         self._log(report, "halt", wave=wave.index,
                   reason="canary-failed", upgraded=len(upgraded))
@@ -590,7 +587,7 @@ class RolloutOrchestrator:
             self._reconcile_unreachable(report)
         census: Dict[str, int] = {}
         converged = 0
-        for node_id in self.transport.node_ids():
+        for node_id in self.fleet.node_ids():
             outcome = self._call("census", node_id)
             self._account(report, outcome)
             if not outcome.ok:

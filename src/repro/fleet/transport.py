@@ -1,10 +1,11 @@
 """The fleet control channel: a fault-modeled RPC envelope.
 
-PR 8's orchestrator called the fleet port as if the network between
-the control plane and its nodes were lossless and instantaneous.  This
-module inserts the honest layer: every control-plane operation becomes
-an :class:`RpcRequest` that travels through :class:`FleetTransport`,
-where the existing fault-injection plane can drop it, delay it,
+The network between the control plane and its nodes is neither
+lossless nor instantaneous.  Every control-plane operation is an
+:class:`RpcRequest` that travels through :class:`FleetTransport` to
+the node it names, where it runs as that
+:class:`~repro.fleet.adapters.node.FleetNode`'s method of the same
+name.  On the way the fault-injection plane can drop it, delay it,
 duplicate it, or cut the link entirely — all seeded and deterministic
 on a dedicated control-plane :class:`~repro.kernel.ktime.VirtualClock`
 (node time is node business; the control channel has its own).
@@ -43,16 +44,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.faultinject.plane import FaultPlane
 from repro.kernel.ktime import VirtualClock
-
-#: fleet-port methods whose effects mutate node state; reads share the
-#: same envelope (a census must survive the same wire) but are listed
-#: for documentation — the reply cache covers both.
-MUTATING_METHODS: Tuple[str, ...] = (
-    "deploy", "rollback", "soak", "quarantine")
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,7 @@ class RpcOutcome:
     node_id: str
     #: True when a reply arrived (possibly after retries)
     ok: bool
-    #: the inner port method's return value (None when not ok)
+    #: the node method's return value (None when not ok)
     value: object = None
     #: machine-readable failure class ("" on success): ``unreachable``
     error: str = ""
@@ -156,25 +151,27 @@ class TransportStats:
 class FleetTransport:
     """Client + wire + server for the fleet control channel.
 
-    Wraps an inner :class:`~repro.fleet.ports.FleetPort` (the "remote"
-    side).  The orchestrator calls :meth:`call`; the transport runs
-    the retry loop against the fault plane and hands the inner port
-    the request at most once per distinct ``request_id`` — replays and
-    duplicates are served from the reply cache.
+    The orchestrator calls :meth:`call`; the transport runs the retry
+    loop against the fault plane and hands the request to its node,
+    looked up in the node directory ``fleet`` (a
+    :class:`~repro.fleet.adapters.sim.SimFleet`), at most once per
+    distinct ``request_id`` — replays and duplicates are served from
+    the reply cache.
 
     With no failpoints armed the transport is transparent: every call
     costs one ``send_latency_ns`` on the control clock and succeeds on
-    the first attempt, so PR 8 scenarios behave exactly as before.
+    the first attempt.
     """
 
-    def __init__(self, inner: "object",
+    def __init__(self, fleet: "object",
                  policy: Optional[RetryPolicy] = None,
                  clock: Optional[VirtualClock] = None,
                  plane: Optional[FaultPlane] = None,
                  seed: int = 0) -> None:
-        """Wrap ``inner``; ``seed`` feeds the backoff jitter (the
-        fault plane has its own seed via ``plane.enable``)."""
-        self.inner = inner
+        """Carry requests to ``fleet``'s nodes; ``seed`` feeds the
+        backoff jitter (the fault plane has its own seed via
+        ``plane.enable``)."""
+        self.fleet = fleet
         self.policy = policy or RetryPolicy()
         self.clock = clock or VirtualClock()
         self.plane = plane or FaultPlane(clock=self.clock)
@@ -187,13 +184,6 @@ class FleetTransport:
         #: node-id -> control-clock time its crashed agent reboots
         self._down_until: Dict[str, int] = {}
         self.stats = TransportStats()
-
-    # -- passthroughs (control-plane metadata, not node RPCs) ---------------
-
-    def node_ids(self) -> List[str]:
-        """The fleet membership list (served from the orchestrator's
-        own directory, not over the per-node channel)."""
-        return self.inner.node_ids()
 
     # -- the client ---------------------------------------------------------
 
@@ -338,8 +328,8 @@ class FleetTransport:
         if cached is not None:
             self.stats.dedup_hits += 1
             return cached
-        method = getattr(self.inner, request.method)
-        value = method(request.node_id, *request.args)
+        node = self.fleet.node(request.node_id)
+        value = getattr(node, request.method)(*request.args)
         self.stats.applied[request.method] = \
             self.stats.applied.get(request.method, 0) + 1
         reply = RpcOutcome(

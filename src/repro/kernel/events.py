@@ -4,9 +4,9 @@ Each :class:`~repro.kernel.kernel.Kernel` owns one :class:`EventBus`,
 its one store of what happened and its one way to watch it.  A
 producer publishes each fact once, as one :class:`KernelEvent` of a
 kind — ``log`` (a plain message), ``oops``, ``load``, ``recovery`` (a
-supervisor decision), ``health``, ``soft-reset``, ``telemetry`` (a
-roll-up snapshot), and the telemetry hub's ``run``, ``helper``,
-``watchdog_kill``, ``panic``, ``ringbuf_drop``, ``fault`` and
+supervisor decision), ``health``, ``soft-reset``, and the telemetry
+hub's ``run``, ``helper``, ``watchdog_kill``, ``panic``,
+``ringbuf_drop``, ``fault`` and
 ``map_op``.  The bus keeps the newest :data:`EVENT_RING_RECORDS` events
 (once the ring is full, each new event overwrites the oldest, as
 dmesg's ``log_buf_len`` does) and hands each event to the subscribers

@@ -202,20 +202,6 @@ class Kernel:
                 sources, str) else (sources,))
         return cleared
 
-    def emit_telemetry_snapshot(self) -> "object":
-        """Publish a compact telemetry roll-up on the event stream
-        (the fleet aggregator's per-wave census source); returns the
-        published event."""
-        progs = self.telemetry.progs.rows()
-        return self.events.publish(
-            "telemetry", source="kernel",
-            progs=len(progs),
-            oopses=len(self.log.oopses),
-            contained=self.log.contained_count,
-            tainted=self.log.tainted,
-            panicked=self.log.panicked,
-            clock_ns=self.clock.now_ns)
-
     # -- time / work accounting ---------------------------------------------
 
     def work(self, instructions: int) -> None:

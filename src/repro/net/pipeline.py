@@ -62,6 +62,14 @@ VERDICT_NAMES = {
 DEFAULT_BATCH = 64
 
 
+def _check_burst(batch_size: int) -> None:
+    """Refuse a burst that takes no packet: polling until the queues
+    drain would never end."""
+    if batch_size < 1:
+        raise ValueError(
+            f"burst size must be at least 1, got {batch_size}")
+
+
 class XdpHook:
     """One XDP program attached to one NIC through the data plane.
 
@@ -147,7 +155,9 @@ class DataPlane:
 
     def process_all(self, batch_size: int = DEFAULT_BATCH) -> int:
         """Poll every attached NIC until its RX rings are empty;
-        returns how many packets reached a verdict."""
+        returns how many packets reached a verdict.  Raises
+        ``ValueError`` for a ``batch_size`` below 1."""
+        _check_burst(batch_size)
         done = 0
         progressed = True
         while progressed:
@@ -173,9 +183,11 @@ class DataPlane:
         per-program activation state is context-switched per task.
         Same seed, same trace — the scheduler is left on
         :attr:`last_smp` so callers can pin ``trace_signature()``.
-        Returns how many packets reached a verdict."""
+        Returns how many packets reached a verdict; raises
+        ``ValueError`` for a ``batch_size`` below 1."""
         from repro.kernel.smp import SmpScheduler
 
+        _check_burst(batch_size)
         smp = SmpScheduler(self.kernel, seed=seed)
         smp.vm = self.subsystem.vm
         for ifindex in sorted(self.hooks):

@@ -1,8 +1,8 @@
 """One runner for the seeded scenario suites.
 
 ``python -m repro.scenarios <suite> [--seed S] [--schedule NAME]...
-[--smoke] [-v] [--json]`` runs one suite *twice* and compares the two
-reports' signatures, so every run is also a determinism check:
+[-v] [--json]`` runs one suite *twice* and compares the two reports'
+signatures, so every run is also a determinism check:
 
 * ``chaos`` — the attack corpus under every canned fault schedule,
   isolation invariants after each replay;
@@ -19,9 +19,7 @@ reports' signatures, so every run is also a determinism check:
 A suite is a function of its seed that returns one
 :class:`~repro.faultinject.scenario.Report`; the runner owns the
 command line, the double run, printing and the exit status: 0 when
-both runs held every invariant and agreed, 1 otherwise.  ``--smoke``
-selects a suite's CI profile (``chaos`` and ``recover`` have none:
-CI runs them in full).
+both runs held every invariant and agreed, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -34,20 +32,15 @@ import sys
 from typing import Dict, Optional, Sequence, Tuple
 
 #: suite -> (module, entry point, schedule table or None, fixed
-#: keyword arguments, the ``--smoke`` CI profile); a suite's module
-#: is imported only when it runs
-SUITES: Dict[str, Tuple[str, str, Optional[str], dict, dict]] = {
-    "chaos": ("repro.faultinject.chaos", "run_chaos", "SCHEDULES",
-              {}, {}),
+#: keyword arguments); a suite's module is imported only when it runs
+SUITES: Dict[str, Tuple[str, str, Optional[str], dict]] = {
+    "chaos": ("repro.faultinject.chaos", "run_chaos", "SCHEDULES", {}),
     "recover": ("repro.faultinject.chaos", "run_chaos", "SCHEDULES",
-                {"recover": True}, {}),
-    "race": ("repro.faultinject.interleave", "run_race", None,
-             {}, {"budget": 12, "corpus_seeds": 2}),
-    "fleet": ("repro.fleet.demo", "run_fleet", None, {}, {"nodes": 60}),
+                {"recover": True}),
+    "race": ("repro.faultinject.interleave", "run_race", None, {}),
+    "fleet": ("repro.fleet.demo", "run_fleet", None, {}),
     "fleet-chaos": ("repro.fleet.chaos", "run_fleet_chaos",
-                    "FLEET_SCHEDULES", {},
-                    {"size": 10,
-                     "schedules": ("rpc-drops", "fleet-pressure")}),
+                    "FLEET_SCHEDULES", {}),
 }
 
 
@@ -63,17 +56,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--schedule", action="append", default=None,
                         help="fault schedule to replay (repeatable; "
                              "default: all)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="the suite's smaller CI profile")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print every case result")
     parser.add_argument("--json", action="store_true",
                         help="print the report as one JSON document")
     args = parser.parse_args(argv)
 
-    module_name, entry, table, fixed, smoke = SUITES[args.suite]
+    module_name, entry, table, fixed = SUITES[args.suite]
     module = importlib.import_module(module_name)
-    kwargs = dict(fixed, **(smoke if args.smoke else {}))
+    kwargs = dict(fixed)
     if args.seed is not None:
         kwargs["seed"] = args.seed
     if args.schedule:

@@ -42,8 +42,9 @@ are created in order with fds starting at 3.
 
 Input the tool cannot use — a file that cannot be read or assembled, a
 ``--map`` or ``--arm`` spec that does not parse, a ``--payload`` that
-is not Latin-1, an unknown scenario, ``--nodes`` below 1 — prints one
-``bpftool: …`` line on stderr and exits 2.
+is not Latin-1, an unknown scenario, a ``--batch``, ``--cpus``,
+``--nodes`` or ``--crash-after`` below 1 — prints one ``bpftool: …``
+line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -898,11 +899,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: options that count something (bursts, CPUs, nodes, journal
+#: appends): below 1 a command could never finish or would fail deep in
+#: the library, so bpftool refuses them up front
+_COUNT_OPTIONS = ("batch", "cpus", "nodes", "crash_after")
+
+
+def _check_counts(args: argparse.Namespace) -> None:
+    """Refuse a count option below 1 as unusable input."""
+    for name in _COUNT_OPTIONS:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be at "
+                             f"least 1, got {value}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point: the command's exit status, or 2 after one
     ``bpftool: …`` line on stderr when its input is unusable."""
     args = build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except UsageError as error:
         print(f"bpftool: {error}", file=sys.stderr)

@@ -72,8 +72,8 @@ def test_chaos_actually_injects_faults():
 
 def test_cli_exit_status(monkeypatch):
     from repro import scenarios
-    module, entry, table, __, smoke = scenarios.SUITES["chaos"]
+    module, entry, table, __ = scenarios.SUITES["chaos"]
     monkeypatch.setitem(
         scenarios.SUITES, "chaos",
-        (module, entry, table, {"case_ids": ["ebpf-probe-read"]}, smoke))
+        (module, entry, table, {"case_ids": ["ebpf-probe-read"]}))
     assert scenarios.main(["chaos", "--schedule", "helper-errno"]) == 0

@@ -123,7 +123,7 @@ class TestNodePanic:
             bad.release_id, seed=SEED)
         assert report.outcome == "rolled-back"
         dead = [node for node in fleet.nodes()
-                if fleet.census(node.node_id) == "dead"]
+                if node.census() == "dead"]
         assert dead
         assert all(node.kernel.log.panicked for node in dead)
         assert report.final_census.get("dead") == len(dead)

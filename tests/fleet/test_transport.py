@@ -128,7 +128,7 @@ class TestIdempotency:
         assert transport.stats.applied["deploy"] == 1
         assert transport.stats.dedup_hits == 1
         # the node saw exactly one deploy: previous is the baseline
-        node = scenario.fleet._node("node-002")
+        node = scenario.fleet.node("node-002")
         assert node.previous.release_id == scenario.baseline.release_id
 
     def test_duplicated_request_applies_once(self, scenario):

@@ -78,7 +78,7 @@ class TestPartitionHealingMidRollback:
         assert report.stuck_nodes == []
         assert scenario.fleet.current_release(WAVE1_NODE) \
             == scenario.baseline.release_id
-        assert scenario.fleet.census(WAVE1_NODE) == "healthy"
+        assert scenario.fleet.node(WAVE1_NODE).census() == "healthy"
         sweeps = [e for e in report.entries
                   if e.kind == "rollback-sweep"]
         assert sweeps, "rollback never needed a convergence sweep"
@@ -96,10 +96,7 @@ class TestStuckNodesAreQuarantined:
     def sabotage_rollback(self, scenario, victim):
         """Model a node that takes the deploy but cannot roll back
         (its rollback image is gone)."""
-        original = scenario.fleet.rollback
-        def broken(node_id):
-            return None if node_id == victim else original(node_id)
-        scenario.fleet.rollback = broken
+        scenario.fleet.node(victim).rollback = lambda: None
 
     def test_stuck_node_is_parked_not_forgotten(self, scenario):
         self.sabotage_rollback(scenario, WAVE1_NODE)
@@ -110,8 +107,8 @@ class TestStuckNodesAreQuarantined:
         assert report.summary()["stuck_nodes"] == [WAVE1_NODE]
         # parked: the agent reports quarantined and the supervisor
         # holds the release's breaker open
-        assert scenario.fleet.census(WAVE1_NODE) == "quarantined"
-        node = scenario.fleet._node(WAVE1_NODE)
+        node = scenario.fleet.node(WAVE1_NODE)
+        assert node.census() == "quarantined"
         assert node.operator_quarantined
         kinds = [e.kind for e in report.entries]
         assert "rollback-failed" in kinds
@@ -123,7 +120,7 @@ class TestStuckNodesAreQuarantined:
         self.sabotage_rollback(scenario, WAVE1_NODE)
         scenario.orchestrator.rollout(scenario.bad.release_id,
                                       seed=SEED)
-        node = scenario.fleet._node(WAVE1_NODE)
+        node = scenario.fleet.node(WAVE1_NODE)
         result = node.deploy(scenario.good)
         assert result.ok
         assert not node.operator_quarantined
@@ -135,14 +132,14 @@ class TestDeployFailuresCountAgainstTheWave:
         """The orchestrator's accounting, not the node's self-report:
         even if the node's census looks healthy (it still runs its
         old release), a failed deploy counts against the wave."""
-        original = scenario.fleet.census
-        def rosy(node_id):
+        victim = scenario.fleet.node(WAVE1_NODE)
+        original = victim.census
+        def rosy():
             # a node agent that never admits a problem
-            state = original(node_id)
+            state = original()
             return "healthy" if state == "deploy-failed" else state
-        scenario.fleet.census = rosy
+        victim.census = rosy
         # node-side sabotage: the wave-1 kernel refuses the load
-        victim = scenario.fleet._node(WAVE1_NODE)
         victim.kernel.faults.arm("load.verify", Probability(1.0),
                                  FaultAction.err(22))
         report = scenario.orchestrator.rollout(

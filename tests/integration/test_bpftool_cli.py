@@ -358,6 +358,11 @@ BAD_INPUT = [
     ("fault status PROG --arm x=prob:2=panic",
      "--arm: bad fault rule 'x=prob:2=panic': probability 2.0 outside"),
     ("race status no_such_scenario", "unknown scenario"),
+    ("net run TMP/pass.s --batch 0", "--batch must be at least 1, got 0"),
+    ("race run unlocked_counter --cpus 0",
+     "--cpus must be at least 1, got 0"),
+    ("fleet resume --crash-after 0",
+     "--crash-after must be at least 1, got 0"),
 ]
 
 
@@ -367,6 +372,7 @@ class TestBadInput:
         (tmp_path / "binary.s").write_bytes(b"\xff\xfe\n")
         (tmp_path / "garbage.s").write_text("r0 =\nexit\n")
         (tmp_path / "label.s").write_text("goto nowhere\nexit\n")
+        (tmp_path / "pass.s").write_text("r0 = 2\nexit\n")
         return tmp_path
 
     @pytest.mark.parametrize("command,words", BAD_INPUT,

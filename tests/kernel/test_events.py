@@ -101,10 +101,3 @@ class TestKernelProducers:
         assert len(seen) == 1
         assert seen[0].get("cleared") == 1
         assert seen[0].get("sources") == ("bpf:x",)
-
-    def test_telemetry_snapshot_event(self):
-        kernel = Kernel()
-        event = kernel.emit_telemetry_snapshot()
-        assert event.kind == "telemetry"
-        assert event.get("panicked") is False
-        assert kernel.events.emitted["telemetry"] == 1

@@ -60,6 +60,17 @@ class TestAttachment:
         with pytest.raises(BpfRuntimeError, match="no program"):
             plane.poll(nic)
 
+    def test_empty_burst_is_refused(self, stack):
+        """A burst of 0 takes no packet: draining would never end."""
+        kernel, bpf, plane, nic = stack
+        prog = bpf.load_program(xdp_programs.pass_all_prog(),
+                                ProgType.XDP, "passer")
+        plane.attach(prog, nic)
+        nic.receive(make_packet(80, 1))
+        for process in (plane.process_all, plane.process_all_smp):
+            with pytest.raises(ValueError, match="at least 1, got 0"):
+                process(batch_size=0)
+
 
 class TestVerdicts:
     def test_drop_and_pass_routed(self, stack):

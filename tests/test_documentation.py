@@ -11,6 +11,8 @@ import importlib
 import inspect
 import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +29,10 @@ def _walk_modules():
 
 
 ALL_MODULES = sorted(_walk_modules())
+
+EXAMPLES_DIR = os.path.join(REPO_ROOT, "examples")
+EXAMPLES = sorted(name for name in os.listdir(EXAMPLES_DIR)
+                  if name.endswith(".py"))
 
 
 @pytest.mark.parametrize("module_name", ALL_MODULES)
@@ -64,6 +70,18 @@ def test_public_defs_have_docstrings(module_name):
                     check_def(child, owner=f"{node.name}.")
     assert not missing, \
         f"{module_name}: missing docstrings on {missing}"
+
+
+@pytest.mark.parametrize("script", EXAMPLES)
+def test_example_runs(script):
+    """Each example runs to completion; four of them assert that the
+    eBPF and SafeLang frameworks agree, so exit 0 is their check."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    result = subprocess.run(
+        [sys.executable, os.path.join(EXAMPLES_DIR, script)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        universal_newlines=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
 
 
 class TestProseConsistency:

@@ -1,6 +1,6 @@
-"""The scenario runner: CI's smoke profiles reproduce their pinned
-results, and the exit status reports broken invariants and
-nondeterminism."""
+"""The scenario runner: the race, fleet and fleet-chaos suites
+reproduce their pinned results, and the exit status reports broken
+invariants and nondeterminism."""
 
 import itertools
 import json
@@ -10,24 +10,24 @@ import pytest
 from repro import scenarios
 from repro.faultinject.scenario import CaseResult, Report
 
-RACE_FREE_SMOKE = {"seeds": 2, "nprocs": [1, 2, 4], "distinct_outcomes": 1}
+RACE_FREE = {"seeds": 4, "nprocs": [1, 2, 4], "distinct_outcomes": 1}
 
-#: ``race --smoke`` findings (seed 0, budget 12, 2 corpus seeds)
-RACE_SMOKE = {
+#: ``race`` findings (seed 0, budget 32, 4 corpus seeds)
+RACE = {
     ("planted", "rcu_use_after_grace"): {
         "expected": "oops",
         "found": "UseAfterFree: use-after-free of rcu_obj at "
                  "0xffff888000000180",
-        "replay_seed": 1, "schedules_run": 12, "distinct_states": 4},
+        "replay_seed": 1, "schedules_run": 32, "distinct_states": 5},
     ("planted", "unlocked_counter"): {
         "expected": "race",
         "found": "data race on array_map3+0: write by unlocked-writer "
                  "(no locks) vs read by locked-writer (counter.lock)",
-        "replay_seed": 0, "schedules_run": 12, "distinct_states": 12},
-    ("race-free", "atomic_counter"): RACE_FREE_SMOKE,
-    ("race-free", "locked_counter"): RACE_FREE_SMOKE,
-    ("race-free", "percpu_counter"): RACE_FREE_SMOKE,
-    ("race-free", "rcu_publish"): RACE_FREE_SMOKE,
+        "replay_seed": 0, "schedules_run": 32, "distinct_states": 32},
+    ("race-free", "atomic_counter"): RACE_FREE,
+    ("race-free", "locked_counter"): RACE_FREE,
+    ("race-free", "percpu_counter"): RACE_FREE,
+    ("race-free", "rcu_publish"): RACE_FREE,
 }
 
 
@@ -36,29 +36,29 @@ def run_json(capsys, *argv):
     return status, json.loads(capsys.readouterr().out)
 
 
-def test_race_smoke_findings_are_pinned(capsys):
-    status, doc = run_json(capsys, "race", "--smoke")
+def test_race_findings_are_pinned(capsys):
+    status, doc = run_json(capsys, "race")
     assert status == 0 and doc["deterministic"]
     assert {(r["variant"], r["case"]): r["detail"]
-            for r in doc["results"]} == RACE_SMOKE
+            for r in doc["results"]} == RACE
 
 
-def test_fleet_smoke_rollout_signatures_are_pinned(capsys):
-    status, doc = run_json(capsys, "fleet", "--smoke")
+def test_fleet_rollout_signatures_are_pinned(capsys):
+    status, doc = run_json(capsys, "fleet")
     assert status == 0 and doc["deterministic"]
     signatures = {r["case"]: r["signature"] for r in doc["results"]}
     assert signatures["good"] == (
-        "9d9b8c47947c1d9d5976ee23bfab1228d77a25b7e70dd96dfc870ca6afa38842")
+        "2a56febd478a78d250dfa3d823e84de3a19fe6f28b8b3b1f9e0a49751c020a26")
     assert signatures["bad"] == (
-        "2de5593611f4b73ce149b674d2cd4a4d1d7f6c5cc397a3187cf31a92406bea7b")
+        "3042ce180f57f512a5a967280db78cc365ef5bb31a35faa82dc267f5d63f83f3")
 
 
-def test_fleet_chaos_smoke_signature_is_pinned(capsys):
-    status, doc = run_json(capsys, "fleet-chaos", "--smoke")
+def test_fleet_chaos_signature_is_pinned(capsys):
+    status, doc = run_json(capsys, "fleet-chaos")
     assert status == 0 and doc["deterministic"]
-    assert len(doc["results"]) == 8
+    assert len(doc["results"]) == 24
     assert doc["signature"] == (
-        "0af1c500f9402de698eb4e5eaf0df37f59ddb3eafcd21f9a972e5c5e0804c10e")
+        "2b84abd1b8ed9e054f503d6e032138581970ed2864a6cf3b239ca4db6aadf1ff")
 
 
 def violating_suite(seed=0):
@@ -80,7 +80,7 @@ def drifting_suite(seed=0):
 ])
 def test_failing_suite_exits_1(monkeypatch, capsys, entry, named):
     monkeypatch.setitem(scenarios.SUITES, "fake",
-                        (__name__, entry, None, {}, {}))
+                        (__name__, entry, None, {}))
     assert scenarios.main(["fake"]) == 1
     assert named in capsys.readouterr().out
 
