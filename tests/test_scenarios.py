@@ -1,6 +1,7 @@
-"""The scenario runner: the race, fleet and fleet-chaos suites
-reproduce their pinned results, and the exit status reports broken
-invariants and nondeterminism."""
+"""The scenario runner: the race, fleet and fleet-chaos suites and two
+schedules of the chaos and recover suites reproduce their pinned
+results, and the exit status reports broken invariants and
+nondeterminism."""
 
 import itertools
 import json
@@ -59,6 +60,31 @@ def test_fleet_chaos_signature_is_pinned(capsys):
     assert len(doc["results"]) == 24
     assert doc["signature"] == (
         "2b84abd1b8ed9e054f503d6e032138581970ed2864a6cf3b239ca4db6aadf1ff")
+
+
+#: one ``chaos`` / ``recover`` schedule's report signature: the
+#: errno retries, the load-errno retries, the contained helper panics
+#: and the fault-trace and audit digests folded into every case's row
+CHAOS = {
+    ("helper-errno", False):
+        "3f8f327d5fde03da1a0bbf75ab1b10222436f39b29e0b784e01dd3edb3300191",
+    ("load-chaos", False):
+        "70252b76d0790932d0d320df41bc7301a0e7cefb4357f96f8dbe193e07411569",
+    ("helper-errno", True):
+        "6a8112eca98aafbd20d3a5dbd0f61c156474be66b13e6019e095f3655c2b8a57",
+    ("load-chaos", True):
+        "6acf9726682f69da8ed959847f213ee729bdb40468c6af4fbbfd5eda8a705cc3",
+}
+
+
+@pytest.mark.parametrize("schedule, recover", list(CHAOS),
+                         ids=[f"{s}{'-recover' if r else ''}"
+                              for s, r in CHAOS])
+def test_chaos_schedule_signature_is_pinned(schedule, recover):
+    from repro.faultinject.chaos import run_chaos
+    report = run_chaos(schedules=[schedule], recover=recover)
+    assert report.clean
+    assert report.signature() == CHAOS[schedule, recover]
 
 
 def violating_suite(seed=0):
