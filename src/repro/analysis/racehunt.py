@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.errors import KernelDeadlock, KernelOops
 
@@ -208,10 +208,6 @@ class Finding:
     description: str
     trace_signature: str
 
-    def as_tuple(self) -> Tuple[str, int, str]:
-        """Hashable (kind, seed, description) view for dedup/sorting."""
-        return (self.kind, self.seed, self.description)
-
 
 @dataclass
 class ExplorationResult:
@@ -238,65 +234,70 @@ class ExplorationResult:
         }
 
 
+#: interleaving decisions one schedule may take before its run is
+#: stopped as a livelock
+MAX_DECISIONS = 200_000
+
+
+def run_schedule(scenario: Callable, seed: int, nr_cpus: int = 2,
+                 migration_rate: float = 0.0) -> Tuple[object, ...]:
+    """Run ``scenario`` once on a fresh kernel under the seeded
+    interleaving ``seed`` picks: the schedule runner of the explorer,
+    :func:`replay` and the ``race`` suite.  ``scenario`` gets an
+    :class:`~repro.kernel.smp.SmpScheduler` with a
+    :class:`RaceDetector`, spawns its tasks and may return a
+    state-fingerprint callable.  Task errors are collected in
+    ``smp.errors()``.  Returns (scheduler, fingerprint or None,
+    the deadlock that ended the run or None)."""
+    from repro.kernel.kernel import Kernel
+    from repro.kernel.smp import SeededInterleaving, SmpScheduler
+
+    smp = SmpScheduler(
+        Kernel(nr_cpus=nr_cpus),
+        schedule=SeededInterleaving(seed, migration_rate=migration_rate,
+                                    nr_cpus=nr_cpus),
+        seed=seed, detector=RaceDetector(), max_decisions=MAX_DECISIONS)
+    fingerprint = scenario(smp)
+    try:
+        smp.run(collect_errors=True)
+    except KernelDeadlock as deadlock:
+        return smp, fingerprint, deadlock
+    return smp, fingerprint, None
+
+
 class ScheduleExplorer:
     """Enumerate seeded interleavings of a scenario, dedup by outcome.
 
-    ``scenario`` is a callable receiving a fresh
-    :class:`~repro.kernel.smp.SmpScheduler`; it builds kernel state and
-    spawns tasks, optionally returning a state-fingerprint callable
-    evaluated after the run (its result joins the dedup hash).  The
-    explorer owns kernel construction so every schedule starts from an
-    identical initial state.
+    Each schedule is one :func:`run_schedule`, from identical initial
+    state; the fingerprint's value joins the dedup hash.
     """
 
     def __init__(self, scenario: Callable,
                  nr_cpus: int = 2,
                  base_seed: int = 0,
-                 migration_rate: float = 0.0,
-                 max_decisions: int = 200_000) -> None:
+                 migration_rate: float = 0.0) -> None:
         self.scenario = scenario
         self.nr_cpus = nr_cpus
         self.base_seed = base_seed
         self.migration_rate = migration_rate
-        self.max_decisions = max_decisions
 
-    def explore(self, budget: int = 32,
-                stop_after: Optional[int] = None) -> ExplorationResult:
-        """Run up to ``budget`` seeded schedules; stop early once
-        ``stop_after`` distinct findings accumulated (None = never)."""
-        from repro.kernel.kernel import Kernel
-        from repro.kernel.smp import SeededInterleaving, SmpScheduler
-
+    def explore(self, budget: int = 32) -> ExplorationResult:
+        """Run ``budget`` seeded schedules."""
         findings: List[Finding] = []
         finding_keys: set = set()
         state_hashes: set = set()
-        runs = 0
         for index in range(budget):
             seed = self.base_seed + index
-            runs += 1
-            kernel = Kernel(nr_cpus=self.nr_cpus)
-            detector = RaceDetector()
-            smp = SmpScheduler(
-                kernel,
-                schedule=SeededInterleaving(
-                    seed, migration_rate=self.migration_rate,
-                    nr_cpus=self.nr_cpus),
-                seed=seed, detector=detector,
-                max_decisions=self.max_decisions)
-            fingerprint = self.scenario(smp)
-            deadlock: Optional[KernelDeadlock] = None
-            try:
-                smp.run(collect_errors=True)
-            except KernelDeadlock as exc:
-                deadlock = exc
+            smp, fingerprint, deadlock = run_schedule(
+                self.scenario, seed, self.nr_cpus, self.migration_rate)
             signature = smp.trace_signature()
             digest = hashlib.sha256(signature.encode())
             if fingerprint is not None:
                 digest.update(repr(fingerprint()).encode())
             state_hashes.add(digest.hexdigest())
 
-            for race in detector.races:
-                kernel.telemetry.record_race(race.type_name)
+            for race in smp.detector.races:
+                smp.kernel.telemetry.record_race(race.type_name)
                 self._add(findings, finding_keys,
                           Finding("race", seed, race.describe(),
                                   signature),
@@ -316,10 +317,8 @@ class ScheduleExplorer:
                                   f"KernelDeadlock: {deadlock}",
                                   signature),
                           ("deadlock", str(deadlock)))
-            if stop_after is not None and len(findings) >= stop_after:
-                break
         return ExplorationResult(
-            schedules_run=runs,
+            schedules_run=max(budget, 0),
             distinct_states=len(state_hashes),
             findings=findings)
 
@@ -337,19 +336,4 @@ def replay(scenario: Callable, seed: int, nr_cpus: int = 2,
     """Re-run ``scenario`` under one exact seed (the reproducer a
     :class:`Finding` hands you).  Returns the scheduler, post-run, so
     callers can inspect the trace/detector."""
-    from repro.kernel.kernel import Kernel
-    from repro.kernel.smp import SeededInterleaving, SmpScheduler
-
-    kernel = Kernel(nr_cpus=nr_cpus)
-    detector = RaceDetector()
-    smp = SmpScheduler(
-        kernel,
-        schedule=SeededInterleaving(seed, migration_rate=migration_rate,
-                                    nr_cpus=nr_cpus),
-        seed=seed, detector=detector)
-    scenario(smp)
-    try:
-        smp.run(collect_errors=True)
-    except KernelDeadlock:
-        pass
-    return smp
+    return run_schedule(scenario, seed, nr_cpus, migration_rate)[0]

@@ -171,7 +171,7 @@ class ExtensionVm:
         budget = self.watchdog_budget_ns \
             if watchdog_budget_ns is None else watchdog_budget_ns
         supervisor = self.kernel.recovery
-        supervised = supervisor is not None and supervisor.active
+        supervised = supervisor is not None
         tag = f"safelang:{prog_name}"
         if supervised and supervisor.gate(tag):
             # breaker open: refuse the run without touching the kernel

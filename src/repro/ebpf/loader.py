@@ -282,7 +282,7 @@ class BpfSubsystem:
         crash is contained (scoped taint cleared) and surfaced as a
         plain :class:`~repro.errors.VerifierError` rejection."""
         supervisor = self.kernel.recovery
-        if supervisor is not None and supervisor.active:
+        if supervisor is not None:
             return supervisor.load_ebpf(
                 self, name,
                 lambda: self._load_program_raw(
@@ -442,7 +442,7 @@ class BpfSubsystem:
         The unsupervised path pays exactly one attribute test over the
         bare ``vm.run`` — this is the hot path the benchmarks drive."""
         supervisor = self.kernel.recovery
-        if supervisor is None or not supervisor.active:
+        if supervisor is None:
             return self.vm.run(prog, ctx_addr)
         return supervisor.run_ebpf(
             self, prog, lambda: self.vm.run(prog, ctx_addr))

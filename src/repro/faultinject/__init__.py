@@ -20,7 +20,6 @@ corpus under canned fault schedules and checks isolation invariants;
 from repro.faultinject.plane import (
     FaultAction,
     FaultPlane,
-    FaultRecord,
     KNOWN_SITES,
     NthHit,
     OneShot,
@@ -35,7 +34,6 @@ from repro.faultinject.plane import (
 __all__ = [
     "FaultAction",
     "FaultPlane",
-    "FaultRecord",
     "KNOWN_SITES",
     "NthHit",
     "OneShot",

@@ -231,7 +231,7 @@ def run_case_under_schedule(case: object, schedule: str, seed: int,
                 f"kernel not alive after supervised replay: {exc}")
         violations.extend(recovery_consistent(kernel))
         signature = f"{signature}:{supervisor.audit_signature()}"
-    return CaseResult(case.case_id, schedule, outcome, len(plane.records),
+    return CaseResult(case.case_id, schedule, outcome, plane.delivered,
                       signature, violations)
 
 
@@ -272,7 +272,7 @@ def demonstrate_recovery(schedule: str, seed: int) -> CaseResult:
     if prog is None:
         return CaseResult(
             "recovery-demo", schedule, "load-refused",
-            len(plane.records), plane.trace_signature(),
+            plane.delivered, plane.trace_signature(),
             ["recovery demo could not load the victim"])
     tag = f"bpf:{prog.name}"
     bpf.attach_trace(prog)  # so quarantine has a hook to detach
@@ -316,7 +316,7 @@ def demonstrate_recovery(schedule: str, seed: int) -> CaseResult:
     violations.extend(recovery_consistent(kernel))
     return CaseResult(
         "recovery-demo", schedule,
-        "recovered" if recovered else "stuck", len(plane.records),
+        "recovered" if recovered else "stuck", plane.delivered,
         f"{plane.trace_signature()}:{supervisor.audit_signature()}",
         violations)
 
@@ -364,7 +364,7 @@ def run_dataplane_case(schedule: str, seed: int,
         if prog is None:
             return CaseResult(
                 "dataplane", schedule, "load-refused",
-                len(plane.records), plane.trace_signature(),
+                plane.delivered, plane.trace_signature(),
                 ["dataplane replay could not load the redirect "
                  "program"])
         data_plane.attach(prog, nic)
@@ -383,7 +383,7 @@ def run_dataplane_case(schedule: str, seed: int,
         outcome = exception_outcome(exc, violations, "the data plane")
     violations.extend(kernel_violations(kernel))
     return CaseResult(
-        "dataplane", schedule, outcome, len(plane.records),
+        "dataplane", schedule, outcome, plane.delivered,
         f"{plane.trace_signature()}:{data_plane.signature()}",
         violations)
 

@@ -37,11 +37,11 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.racehunt import RaceDetector, ScheduleExplorer, replay
+from repro.analysis.racehunt import ScheduleExplorer, replay, run_schedule
 from repro.ebpf.loader import BpfSubsystem
 from repro.faultinject.scenario import CaseResult, Report, json_digest
 from repro.kernel.kernel import Kernel
-from repro.kernel.smp import SeededInterleaving, SmpScheduler
+from repro.kernel.smp import SmpScheduler
 
 #: read-modify-write iterations per task (small: interleavings, not
 #: throughput, are the product here)
@@ -264,19 +264,16 @@ def run_signature(scenario: Callable, nr_cpus: int, seed: int) -> \
     virtual clock and the race count — everything that must not depend
     on CPU placement; the trace signature additionally pins the exact
     interleaving (same seed + same nproc => identical)."""
-    kernel = Kernel(nr_cpus=nr_cpus)
-    detector = RaceDetector()
-    smp = SmpScheduler(
-        kernel,
-        schedule=SeededInterleaving(seed, nr_cpus=nr_cpus),
-        seed=seed, detector=detector)
-    fingerprint = scenario(smp)
-    smp.run()
+    smp, fingerprint, deadlock = run_schedule(scenario, seed, nr_cpus)
+    errors = smp.errors()
+    if deadlock is not None or errors:
+        raise deadlock or errors[0]
+    races = len(smp.detector.races)
     digest = hashlib.sha256()
     digest.update(repr(fingerprint()).encode())
-    digest.update(kernel.clock.now_ns.to_bytes(8, "little"))
-    digest.update(len(detector.races).to_bytes(4, "little"))
-    return digest.hexdigest(), smp.trace_signature(), len(detector.races)
+    digest.update(smp.kernel.clock.now_ns.to_bytes(8, "little"))
+    digest.update(races.to_bytes(4, "little"))
+    return digest.hexdigest(), smp.trace_signature(), races
 
 
 def hunt_planted(budget: int, base_seed: int) -> Dict[str, object]:
@@ -354,15 +351,20 @@ def check_race_free(budget: int, base_seed: int,
     return report
 
 
-def run_race(seed: int = 0, budget: int = 32,
-             corpus_seeds: int = 4) -> Report:
-    """The ``race`` suite: hunt the planted bugs with ``budget``
+#: seeded schedules the ``race`` suite explores per planted bug
+BUDGET = 32
+#: seeds the ``race`` suite runs the race-free corpus under
+CORPUS_SEEDS = 4
+
+
+def run_race(seed: int = 0) -> Report:
+    """The ``race`` suite: hunt the planted bugs with :data:`BUDGET`
     seeded schedules each, then gate the race-free corpus over
-    ``corpus_seeds`` seeds.  A failed gate is a violation; each
+    :data:`CORPUS_SEEDS` seeds.  A failed gate is a violation; each
     scenario's report entry rides in its result's ``detail``."""
     gates = (
-        ("planted", lambda: hunt_planted(budget, seed), "found"),
-        ("race-free", lambda: check_race_free(corpus_seeds, seed),
+        ("planted", lambda: hunt_planted(BUDGET, seed), "found"),
+        ("race-free", lambda: check_race_free(CORPUS_SEEDS, seed),
          "clean"),
     )
     results: List[CaseResult] = []

@@ -29,7 +29,7 @@ import fnmatch
 import hashlib
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 # errno numbers (sites return the *negative* value, kernel-style)
 ENOENT = 2
@@ -273,25 +273,6 @@ class ArmedFailpoint:
         return fnmatch.fnmatchcase(site, self.pattern)
 
 
-@dataclass(frozen=True)
-class FaultRecord:
-    """One delivered fault, as it appears in the fault trace."""
-
-    seq: int
-    site: str
-    pattern: str
-    kind: str
-    errno: int
-    delay_ns: int
-    hit: int
-    now_ns: int
-
-    def as_tuple(self) -> Tuple[object, ...]:
-        """Stable tuple form, hashed into the trace signature."""
-        return (self.seq, self.site, self.pattern, self.kind,
-                self.errno, self.delay_ns, self.hit, self.now_ns)
-
-
 class FaultPlane:
     """Per-kernel fault delivery: armed failpoints + the fault trace.
 
@@ -303,6 +284,10 @@ class FaultPlane:
     virtual clock unless the site opts out (the watchdog must: its
     check runs inside a clock tick callback, where a nested
     ``clock.advance`` would recurse).
+
+    The plane keeps no trace: each delivered fault is one ``fault``
+    event on the kernel's event ring, folded into two counts and a
+    running digest; :meth:`retained` reads the ring back.
     """
 
     def __init__(self, clock: Optional[object] = None,
@@ -315,9 +300,7 @@ class FaultPlane:
         self.enabled = False
         self.seed: Optional[int] = None
         self._rng = Random(0)
-        self.arms: List[ArmedFailpoint] = []
-        self.records: List[FaultRecord] = []
-        self.site_hits: Dict[str, int] = {}
+        self.reset()
 
     # -- control plane ------------------------------------------------------
 
@@ -352,9 +335,13 @@ class FaultPlane:
 
     def reset(self) -> None:
         """Disarm everything and clear the trace (counters included)."""
-        self.arms = []
-        self.records = []
-        self.site_hits = {}
+        self.arms: List[ArmedFailpoint] = []
+        self.site_hits: Dict[str, int] = {}
+        #: faults delivered, and how many of them were errnos (the
+        #: supervisor compares the errno count across one invocation)
+        self.delivered = 0
+        self.errnos = 0
+        self._digest = hashlib.sha256()
         self._update_gate()
 
     def _update_gate(self) -> None:
@@ -365,7 +352,7 @@ class FaultPlane:
     def check(self, site: str,
               apply_delay: bool = True) -> Optional[FaultAction]:
         """One failpoint hit: consult armed rules, deliver at most one
-        fault, record it.  Returns the action to apply, or None."""
+        fault, trace it.  Returns the action to apply, or None."""
         if not self.armed:
             return None
         self.site_hits[site] = self.site_hits.get(site, 0) + 1
@@ -377,11 +364,13 @@ class FaultPlane:
                 continue
             arm.fires += 1
             action = arm.action
-            self.records.append(FaultRecord(
-                seq=len(self.records), site=site, pattern=arm.pattern,
-                kind=action.kind, errno=action.errno,
-                delay_ns=action.delay_ns, hit=arm.hits,
-                now_ns=self.clock.now_ns if self.clock else 0))
+            self._digest.update(repr((
+                self.delivered, site, arm.pattern, action.kind,
+                action.errno, action.delay_ns, arm.hits,
+                self.clock.now_ns if self.clock else 0)).encode())
+            self.delivered += 1
+            if action.kind == "errno":
+                self.errnos += 1
             if self.telemetry is not None:
                 self.telemetry.record_fault(
                     site, action.describe(),
@@ -395,12 +384,18 @@ class FaultPlane:
     # -- inspection ---------------------------------------------------------
 
     def trace_signature(self) -> str:
-        """SHA-256 over the fault trace; two runs with the same seed
-        and workload must produce the same signature."""
-        digest = hashlib.sha256()
-        for record in self.records:
-            digest.update(repr(record.as_tuple()).encode())
-        return digest.hexdigest()
+        """SHA-256 over the fault trace, each fault hashed as
+        ``(seq, site, pattern, kind, errno, delay_ns, hit, now_ns)``:
+        same seed and workload, same signature."""
+        return self._digest.copy().hexdigest()
+
+    def retained(self, ring: Iterable[object]) -> List[Tuple[int, object]]:
+        """The faults the kernel event ring ``ring`` still holds, oldest
+        first, each with its true sequence number: the ring keeps the
+        newest events, so it holds the trace's tail."""
+        events = [event for event in ring if event.kind == "fault"]
+        events = events[len(events) - min(len(events), self.delivered):]
+        return list(enumerate(events, self.delivered - len(events)))
 
     def status(self) -> List[Dict[str, object]]:
         """Per-rule counters for ``bpftool fault status``."""

@@ -45,7 +45,7 @@ from repro.fleet.services.orchestrator import (
     RolloutReport,
 )
 from repro.fleet.services.registry import Release, ReleaseRegistry
-from repro.fleet.transport import FleetTransport, RetryPolicy
+from repro.fleet.transport import FleetTransport
 from repro.kernel import Kernel, KernelSpec
 from repro.net.programs import XDP_PASS, pass_all_prog, port_filter_prog
 
@@ -153,9 +153,7 @@ class FleetScenario:
     transport: FleetTransport
 
 
-def build_scenario(size: int, seed: int,
-                   retry_policy: Optional[RetryPolicy] = None,
-                   ) -> FleetScenario:
+def build_scenario(size: int, seed: int) -> FleetScenario:
     """Assemble the canonical fleet: boot the toolchain and publish
     the three releases, stamp the fleet from
     :func:`default_fleet_spec`, preinstall the baseline, attach the
@@ -175,7 +173,7 @@ def build_scenario(size: int, seed: int,
     fleet.preinstall(baseline)
     telemetry = FleetTelemetry()
     telemetry.observe([node.kernel.events for node in fleet.nodes()])
-    transport = FleetTransport(fleet, policy=retry_policy, seed=seed)
+    transport = FleetTransport(fleet, seed=seed)
     transport.plane.enable(seed)
     orchestrator = RolloutOrchestrator(fleet, registry,
                                        telemetry=telemetry,

@@ -51,7 +51,8 @@ from repro.fleet.adapters.sim import (
 from repro.fleet.journal import MemoryJournal, OrchestratorCrash
 
 DEFAULT_SEED = 20230622  # HotOS'23
-DEFAULT_SIZE = 24
+#: nodes in each rollout's fleet
+NODES = 24
 #: journal-append ordinals the crash leg kills the orchestrator at
 #: (a recurring schedule: the *resumed* orchestrator crashes again
 #: every CRASH_EVERY live appends until the rollout finally lands)
@@ -91,7 +92,7 @@ def _result(schedule: str, release: str, outcome: str,
             resumes: int, violations: List[str]) -> CaseResult:
     """One rollout's row: its signature with the resume count folded
     in, the channel faults it was dealt and its RPC accounting."""
-    faults = len(scenario.transport.plane.records)
+    faults = scenario.transport.plane.delivered
     if report is None:
         return CaseResult(schedule, release, outcome, faults,
                           f":{resumes}", violations)
@@ -105,10 +106,10 @@ def _result(schedule: str, release: str, outcome: str,
          "resumes": resumes})
 
 
-def run_fleet_case(schedule: str, release: str, seed: int,
-                   size: int) -> CaseResult:
+def run_fleet_case(schedule: str, release: str,
+                   seed: int) -> CaseResult:
     """One rollout of ``release`` under one channel schedule."""
-    scenario = build_scenario(size, seed=seed)
+    scenario = build_scenario(NODES, seed=seed)
     FLEET_SCHEDULES[schedule](scenario.transport.plane)
     target = (scenario.bad if release == "bad"
               else scenario.good)
@@ -129,12 +130,12 @@ def run_fleet_case(schedule: str, release: str, seed: int,
 
 
 def run_crash_resume_case(schedule: str, release: str, seed: int,
-                          size: int, baseline: CaseResult) -> CaseResult:
+                          baseline: CaseResult) -> CaseResult:
     """The durability leg: the rollout ``baseline`` ran uninterrupted,
     but the orchestrator is killed every :data:`CRASH_EVERY` journal
     appends and resumed from the journal until it lands — the
     finished signature must be bit-identical to the baseline's."""
-    scenario = build_scenario(size, seed=seed)
+    scenario = build_scenario(NODES, seed=seed)
     FLEET_SCHEDULES[schedule](scenario.transport.plane)
     target = (scenario.bad if release == "bad"
               else scenario.good)
@@ -177,7 +178,6 @@ def run_crash_resume_case(schedule: str, release: str, seed: int,
 
 
 def run_fleet_chaos(seed: int = DEFAULT_SEED,
-                    size: int = DEFAULT_SIZE,
                     schedules: Optional[Sequence[str]] = None) -> Report:
     """Replay both releases under every requested channel schedule,
     plus the crash/resume leg per pair."""
@@ -185,9 +185,8 @@ def run_fleet_chaos(seed: int = DEFAULT_SEED,
     for name in schedules or FLEET_SCHEDULES:
         for release in ("good", "bad"):
             rollout_seed = case_seed(seed, f"fleet-{release}", name)
-            uninterrupted = run_fleet_case(
-                name, release, rollout_seed, size)
+            uninterrupted = run_fleet_case(name, release, rollout_seed)
             results.append(uninterrupted)
             results.append(run_crash_resume_case(
-                name, release, rollout_seed, size, uninterrupted))
+                name, release, rollout_seed, uninterrupted))
     return Report(seed, results)

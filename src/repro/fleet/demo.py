@@ -6,7 +6,7 @@ must fail its canary wave and be fully rolled back.  The report holds
 one row per release, carrying its rollout-log signature, plus a digest
 of the fleet telemetry export, so the runner's double run proves the
 rollouts *and* the export bit-identical.  The acceptance
-configuration is the default 200 nodes.
+configuration is :data:`NODES` nodes.
 
 Every release is certified for the fleet's own node image, so no node
 may run its verifier during either rollout.  Each release row's
@@ -21,6 +21,9 @@ from typing import List
 from repro.faultinject.scenario import CaseResult, Report, json_digest
 from repro.fleet.adapters.sim import FleetScenario, build_scenario
 
+#: fleet size of the acceptance configuration
+NODES = 200
+
 
 def node_verifier_runs(scenario: FleetScenario) -> int:
     """Loads on the fleet's nodes that the node's own verifier checked:
@@ -30,9 +33,9 @@ def node_verifier_runs(scenario: FleetScenario) -> int:
     return sum(node.bpf.verifier_runs for node in scenario.fleet.nodes())
 
 
-def run_fleet(seed: int = 7, nodes: int = 200) -> Report:
+def run_fleet(seed: int = 7) -> Report:
     """One full scenario pass: good rollout, bad rollout, export."""
-    scenario = build_scenario(size=nodes, seed=seed)
+    scenario = build_scenario(size=NODES, seed=seed)
     before = node_verifier_runs(scenario)
     good = scenario.orchestrator.rollout(
         scenario.good.release_id, seed=seed)
@@ -41,15 +44,15 @@ def run_fleet(seed: int = 7, nodes: int = 200) -> Report:
         scenario.bad.release_id, seed=seed)
     good_runs = after_good - before
     bad_runs = node_verifier_runs(scenario) - after_good
-    variant = f"{nodes}-nodes"
+    variant = f"{NODES}-nodes"
 
     good_failures: List[str] = []
     if good.outcome != "completed":
         good_failures.append(
             f"good release did not complete: {good.outcome}")
-    if good.converged_nodes != nodes:
+    if good.converged_nodes != NODES:
         good_failures.append(
-            f"good release reached {good.converged_nodes}/{nodes} "
+            f"good release reached {good.converged_nodes}/{NODES} "
             "nodes")
     if good_runs:
         good_failures.append(
@@ -71,7 +74,7 @@ def run_fleet(seed: int = 7, nodes: int = 200) -> Report:
     if on_bad:
         bad_failures.append(
             f"{on_bad} nodes still run the bad release after rollback")
-    if bad.final_census.get("healthy", 0) != nodes:
+    if bad.final_census.get("healthy", 0) != NODES:
         bad_failures.append(
             f"fleet not fully healthy after rollback: "
             f"{bad.final_census}")

@@ -65,7 +65,6 @@ class FleetTelemetry:
         self.waves: List[Dict[str, object]] = []
         #: finished rollout summaries, in order
         self.rollouts: List[Dict[str, object]] = []
-        self._subscriptions: List[object] = []
 
     # -- event-stream side ----------------------------------------------------
 
@@ -75,8 +74,7 @@ class FleetTelemetry:
         are now observed.  Safe to call once per fleet — double
         observation would double-count."""
         for bus in buses:
-            self._subscriptions.append(
-                bus.subscribe(self._on_event, kinds=OBSERVED))
+            bus.subscribe(self._on_event, kinds=OBSERVED)
         self._fleet_size.labels().set(len(buses))
         return len(buses)
 

@@ -165,16 +165,14 @@ class FleetTransport:
 
     def __init__(self, fleet: "object",
                  policy: Optional[RetryPolicy] = None,
-                 clock: Optional[VirtualClock] = None,
-                 plane: Optional[FaultPlane] = None,
                  seed: int = 0) -> None:
         """Carry requests to ``fleet``'s nodes; ``seed`` feeds the
         backoff jitter (the fault plane has its own seed via
         ``plane.enable``)."""
         self.fleet = fleet
         self.policy = policy or RetryPolicy()
-        self.clock = clock or VirtualClock()
-        self.plane = plane or FaultPlane(clock=self.clock)
+        self.clock = VirtualClock()
+        self.plane = FaultPlane(clock=self.clock)
         self.seed = seed
         self._jitter = Random(f"fleet-rpc-jitter:{seed}")
         #: durable server-side reply cache, by request id (the node

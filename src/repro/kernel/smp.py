@@ -34,10 +34,11 @@ kind                where it fires
 At each yield point the seeded :class:`InterleavingSchedule` picks
 which CPU runs next.  Same seed, same workload => byte-identical
 decision trace, pinned by a SHA-256 :meth:`SmpScheduler.trace_signature`
-exactly like the fault plane's.  A :class:`ScriptedInterleaving`
-replays an explicit choice prefix, which is what the race-hunting
-explorer (:mod:`repro.analysis.racehunt`) uses to enumerate and replay
-interesting interleavings.
+exactly like the fault plane's.  The race-hunting explorer
+(:mod:`repro.analysis.racehunt`) enumerates seeds of
+:class:`SeededInterleaving` and replays a finding from its seed; a
+:class:`ScriptedInterleaving` replays an explicit choice prefix, for
+tests that pin one exact interleaving.
 
 Hot-path contract: while no scheduler is installed, ``kernel.smp`` is
 None and every hook site pays one attribute test — the serial fast

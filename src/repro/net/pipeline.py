@@ -238,8 +238,6 @@ class DataPlane:
         passed: List[bytes] = []
         redirected: List[Tuple[bytes, Optional[int]]] = []
         txed: List[bytes] = []
-        supervisor = kernel.recovery
-        supervised = supervisor is not None and supervisor.active
 
         def route(verdict: int) -> None:
             if verdict == XDP_PASS:
@@ -258,7 +256,7 @@ class DataPlane:
             latency_hist.observe(clock.now_ns - frame.rx_ns)
 
         n = 0
-        if supervised:
+        if kernel.recovery is not None:
             # chaos --recover path: per-packet supervised dispatch so
             # injected panics are contained and breakers trip; slower,
             # but correctness is the product here, not throughput

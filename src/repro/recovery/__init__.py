@@ -14,7 +14,6 @@ containment invariant fails or the oops budget runs out.
 
 from repro.recovery.domain import FaultDomain, UnwindReport
 from repro.recovery.supervisor import (
-    AuditEvent,
     HealthState,
     ProgramHealth,
     RecoveryPolicy,
@@ -22,7 +21,6 @@ from repro.recovery.supervisor import (
 )
 
 __all__ = [
-    "AuditEvent",
     "FaultDomain",
     "HealthState",
     "ProgramHealth",

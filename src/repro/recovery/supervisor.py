@@ -20,11 +20,12 @@ unwind, RCU stayed unbalanced, the pool leaked — or the kernel-wide
 oops budget is exhausted, the supervisor *escalates*: a real panic
 (:class:`~repro.errors.KernelPanic`), taint forever.
 
-Everything the supervisor decides is appended to an audit trail
-(and published once on the kernel's event ring, which the kernel log
-and the telemetry trace render) whose content is a pure function of
-the fault-plane seed — determinism is part of the recovery contract,
-and ``tests/recovery`` enforces it.
+Everything the supervisor decides is published once, as a
+``recovery`` event on the kernel's event ring (the audit trail, which
+the kernel log and the telemetry trace render too), and folded into a
+running digest, :meth:`Supervisor.audit_signature`.  The trail is a
+pure function of the fault-plane seed — determinism is part of the
+recovery contract, and ``tests/recovery`` enforces it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.errors import (
     ReproError,
     VerifierError,
 )
+from repro.kernel.events import KernelEvent
 from repro.recovery.domain import FaultDomain, UnwindReport
 
 #: errnos the supervisor itself speaks
@@ -96,26 +98,18 @@ class RecoveryPolicy:
     oops_budget: int = 64
 
 
-@dataclass
-class AuditEvent:
-    """One supervisor decision, stamped on the virtual clock."""
+def render_decision(event: KernelEvent) -> str:
+    """One audit-trail line of a ``recovery`` event:
+    ``[timestamp] decision tag name=value...``."""
+    parts = " ".join(f"{k}={v}" for k, v in event.detail
+                     if k != "decision")
+    return (f"[{event.timestamp_ns}] {event.get('decision')} "
+            f"{event.source}" + (f" {parts}" if parts else ""))
 
-    timestamp_ns: int
-    kind: str
-    tag: str
-    detail: Dict[str, object] = field(default_factory=dict)
 
-    def render(self) -> str:
-        """One audit-trail line."""
-        parts = " ".join(f"{k}={v}" for k, v in
-                         sorted(self.detail.items()))
-        return (f"[{self.timestamp_ns}] {self.kind} {self.tag}"
-                + (f" {parts}" if parts else ""))
-
-    def signature_bytes(self) -> bytes:
-        """Stable serialization for determinism digests."""
-        return repr((self.timestamp_ns, self.kind, self.tag,
-                     sorted(self.detail.items()))).encode()
+def _decision_lines(event: KernelEvent) -> Tuple[str, ...]:
+    """A supervisor decision's dmesg line, rendered from its event."""
+    return (f"recovery: {render_decision(event)}",)
 
 
 @dataclass
@@ -137,16 +131,6 @@ class ProgramHealth:
     #: half-open: the next run is a trial; success -> HEALTHY,
     #: any fault -> straight back to quarantine with a longer window
     trial: bool = False
-
-    @property
-    def framework(self) -> str:
-        """Which framework the tag belongs to."""
-        return self.tag.split(":", 1)[0]
-
-    @property
-    def name(self) -> str:
-        """Program name without the framework prefix."""
-        return self.tag.split(":", 1)[-1]
 
     def as_dict(self) -> Dict[str, object]:
         """bpftool-facing snapshot."""
@@ -172,11 +156,11 @@ class Supervisor:
                  policy: Optional[RecoveryPolicy] = None) -> None:
         self.kernel = kernel
         self.policy = policy or RecoveryPolicy()
-        #: dispatch paths consult this; False parks the supervisor
-        #: without tearing down its state
-        self.active = True
         self._health: Dict[str, ProgramHealth] = {}
-        self.audit: List[AuditEvent] = []
+        #: decisions taken; each one is a ``recovery`` event on the
+        #: kernel's ring and is folded into ``_audit_digest``
+        self.decisions = 0
+        self._audit_digest = hashlib.sha256()
         self.contained_total = 0
         self.escalations = 0
 
@@ -197,21 +181,24 @@ class Supervisor:
 
     def _audit_event(self, kind: str, tag: str,
                      **detail: object) -> None:
-        event = AuditEvent(self.kernel.clock.now_ns, kind, tag, detail)
-        self.audit.append(event)
+        self._audit_digest.update(repr((
+            self.kernel.clock.now_ns, kind, tag,
+            sorted(detail.items()))).encode())
+        self.decisions += 1
         self.kernel.telemetry.record_recovery_event(
-            kind, tag, detail, dmesg=f"recovery: {event.render()}")
+            kind, tag, detail, dmesg=_decision_lines)
 
     def audit_signature(self) -> str:
-        """SHA-256 over the audit trail: same seed, same decisions."""
-        digest = hashlib.sha256()
-        for event in self.audit:
-            digest.update(event.signature_bytes())
-        return digest.hexdigest()
+        """SHA-256 over the audit trail, each decision hashed as
+        ``(timestamp_ns, decision, tag, sorted detail)``: same seed,
+        same decisions."""
+        return self._audit_digest.copy().hexdigest()
 
-    def audit_for(self, tag: str) -> List[AuditEvent]:
-        """The audit trail restricted to one program."""
-        return [e for e in self.audit if e.tag == tag]
+    def audit_for(self, tag: str) -> List[KernelEvent]:
+        """The decisions about one program that the kernel's event
+        ring still holds, oldest first."""
+        return [event for event in self.kernel.events.ring
+                if event.kind == "recovery" and event.source == tag]
 
     # -- health-state machine ------------------------------------------------
 
@@ -436,7 +423,7 @@ class Supervisor:
         attempt = 0
         while True:
             domain = FaultDomain(self.kernel, tag)
-            mark = len(plane.records)
+            mark = plane.errnos
             try:
                 value = thunk()
             except KernelSafetyViolation as exc:
@@ -444,25 +431,30 @@ class Supervisor:
                 self.note_fault(
                     tag, f"oops:{getattr(exc, 'category', 'oops')}")
                 return _to_u64(-EFAULT)
-            injected_errno = any(
-                r.kind == "errno" for r in plane.records[mark:])
-            if injected_errno and _is_errno(value) \
-                    and attempt < self.policy.max_retries:
-                attempt += 1
-                record.retries += 1
-                backoff = self.policy.backoff_base_ns * \
-                    (self.policy.backoff_factor ** (attempt - 1))
-                self._audit_event(
-                    "retry", tag, attempt=attempt,
-                    backoff_ns=backoff, errno=-_to_s64(value))
-                self.kernel.clock.advance(backoff)
-                continue
-            if injected_errno and _is_errno(value):
+            if plane.errnos == mark or not _is_errno(value):
+                self.note_success(tag)
+                return value
+            if not self._retry(record, attempt, errno=-_to_s64(value)):
                 # retries exhausted: the transient failure is now real
                 self.note_fault(tag, f"errno:{-_to_s64(value)}")
-            else:
-                self.note_success(tag)
-            return value
+                return value
+            attempt += 1
+
+    def _retry(self, record: ProgramHealth, attempt: int,
+               **detail: object) -> bool:
+        """One retry-with-backoff step after an injected errno made
+        try ``attempt`` (counted from 0) fail: False once the policy's
+        retries are spent, else count and audit the retry and wait
+        out its backoff on the virtual clock."""
+        policy = self.policy
+        if attempt >= policy.max_retries:
+            return False
+        record.retries += 1
+        backoff = policy.backoff_base_ns * policy.backoff_factor ** attempt
+        self._audit_event("retry", record.tag, attempt=attempt + 1,
+                          backoff_ns=backoff, **detail)
+        self.kernel.clock.advance(backoff)
+        return True
 
     def _reload_ebpf(self, subsystem: object, prog: object,
                      tag: str) -> Optional[object]:
@@ -500,7 +492,9 @@ class Supervisor:
         attempt = 0
         while True:
             domain = FaultDomain(self.kernel, tag)
-            mark = len(plane.records)
+            # load.verify is the only failpoint a load reaches, so an
+            # errno delivered since the mark is an injected refusal
+            mark = plane.errnos
             try:
                 return thunk()
             except KernelOops as exc:
@@ -509,19 +503,10 @@ class Supervisor:
                 raise VerifierError(
                     f"verifier fault contained during load of "
                     f"({name}): {exc}") from exc
-            except VerifierError as exc:
-                injected = any(
-                    r.kind == "errno" and r.site.startswith("load.")
-                    for r in plane.records[mark:])
-                if injected and attempt < self.policy.max_retries:
-                    attempt += 1
-                    record.retries += 1
-                    backoff = self.policy.backoff_base_ns * \
-                        (self.policy.backoff_factor ** (attempt - 1))
-                    self._audit_event("retry", tag, attempt=attempt,
-                                      backoff_ns=backoff, stage="load")
-                    self.kernel.clock.advance(backoff)
-                    continue
-                if injected:
+            except VerifierError:
+                if plane.errnos == mark:
+                    raise
+                if not self._retry(record, attempt, stage="load"):
                     self.note_fault(tag, "load-errno")
-                raise
+                    raise
+            attempt += 1

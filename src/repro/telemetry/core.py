@@ -324,9 +324,9 @@ class Telemetry:
     def record_recovery_event(
             self, kind: str, tag: str,
             detail: Optional[Dict[str, object]] = None,
-            dmesg: Optional[str] = None) -> None:
+            dmesg: object = None) -> None:
         """Count one supervisor decision and publish it with its log
-        line."""
+        line (or the function that renders it)."""
         self._recovery_events.labels(kind).inc()
         self._events.publish("recovery", source=tag, dmesg=dmesg,
                              decision=kind, **(detail or {}))

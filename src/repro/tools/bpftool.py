@@ -80,8 +80,9 @@ from repro.fleet.adapters.cli import (
     cmd_fleet_status,
 )
 from repro.faultinject.chaos import FLEET_SCHEDULES
-from repro.faultinject.plane import KNOWN_SITES
+from repro.faultinject.plane import KNOWN_SITES, parse_action
 from repro.kernel import Kernel, KernelSpec
+from repro.recovery.supervisor import render_decision
 from repro.telemetry import to_json, to_prometheus
 
 #: program types that run on a packet carrying ``--payload``; the
@@ -375,16 +376,18 @@ def _run_under_faults(args) -> Tuple[_Outcome, int]:
 
 def cmd_fault_enable(args) -> int:
     """``fault enable``: run a program with failpoints armed and
-    print every fault the plane delivered."""
+    print the faults the plane delivered, as far as the kernel's event
+    ring still holds them; the total counts every one."""
     run, status = _run_under_faults(args)
-    plane = run.bpf.kernel.faults
-    for record in plane.records:
-        print(f"  #{record.seq:<3} {record.site:24s} "
-              f"{record.kind}"
-              f"{':' + str(record.errno) if record.errno else ''}"
-              f"{':' + str(record.delay_ns) if record.delay_ns else ''}"
-              f" hit={record.hit} t={record.now_ns}ns")
-    print(f"{len(plane.records)} faults injected "
+    kernel = run.bpf.kernel
+    plane = kernel.faults
+    for seq, event in plane.retained(kernel.events.ring):
+        action = parse_action(event.get("action"))
+        arg = action.errno or action.delay_ns
+        print(f"  #{seq:<3} {event.source:24s} {action.kind}"
+              f"{':' + str(arg) if arg else ''}"
+              f" hit={event.get('hit')} t={event.timestamp_ns}ns")
+    print(f"{plane.delivered} faults injected "
           f"(seed {args.seed}, trace "
           f"{plane.trace_signature()[:16]}…)")
     return status
@@ -457,22 +460,25 @@ def cmd_prog_quarantine(args) -> int:
 
 def cmd_recover_status(args) -> int:
     """``recover status``: run supervised, print supervisor state and
-    the full containment audit trail."""
+    the containment audit trail, as far as the kernel's event ring
+    still holds it; the total counts every decision."""
     run, status = _run_supervised(args)
     if run is None:
         return status
-    supervisor = run.bpf.kernel.recovery
+    kernel = run.bpf.kernel
+    supervisor = kernel.recovery
     _print_health(supervisor)
     policy = supervisor.policy
     print(f"supervisor: containments={supervisor.contained_total} "
           f"budget={policy.oops_budget} "
           f"escalations={supervisor.escalations} "
           f"audit_signature={supervisor.audit_signature()[:16]}…")
-    print(_alive_line(run.bpf.kernel))
+    print(_alive_line(kernel))
     print("--- containment audit trail ---")
-    for event in supervisor.audit:
-        print(f"  {event.render()}")
-    print(f"# {len(supervisor.audit)} audit events")
+    for event in kernel.events.ring:
+        if event.kind == "recovery":
+            print(f"  {render_decision(event)}")
+    print(f"# {supervisor.decisions} audit events")
     return status
 
 
@@ -557,7 +563,7 @@ def cmd_fault_status(args) -> int:
     for site, hits in sorted(plane.site_hits.items()):
         print(f"  site {site:24s} reached {hits} times")
     print(f"enabled={plane.enabled} armed={plane.armed} "
-          f"seed={args.seed} faults={len(plane.records)}")
+          f"seed={args.seed} faults={plane.delivered}")
     return status
 
 
@@ -899,19 +905,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: options that count something (bursts, CPUs, nodes, journal
-#: appends): below 1 a command could never finish or would fail deep in
-#: the library, so bpftool refuses them up front
-_COUNT_OPTIONS = ("batch", "cpus", "nodes", "crash_after")
+#: each numeric option's least value, below which bpftool refuses it
+#: up front: a count of bursts, CPUs, nodes or journal appends below 1
+#: could never finish or would fail deep in the library, and a size
+#: (packets, runs, schedules, a queue, a listing) may be 0
+_LEAST = {"batch": 1, "cpus": 1, "nodes": 1, "crash_after": 1,
+          "count": 0, "repeat": 0, "budget": 0, "limit": 0,
+          "queue_depth": 0}
 
 
 def _check_counts(args: argparse.Namespace) -> None:
-    """Refuse a count option below 1 as unusable input."""
-    for name in _COUNT_OPTIONS:
+    """Refuse a numeric option below its least value, or a migration
+    rate that is not a probability, as unusable input."""
+    for name, least in _LEAST.items():
         value = getattr(args, name, None)
-        if value is not None and value < 1:
+        if value is not None and value < least:
             raise UsageError(f"--{name.replace('_', '-')} must be at "
-                             f"least 1, got {value}")
+                             f"least {least}, got {value}")
+    rate = getattr(args, "migration_rate", None)
+    if rate is not None and not 0.0 <= rate <= 1.0:
+        raise UsageError(
+            f"--migration-rate must be within [0, 1], got {rate:g}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

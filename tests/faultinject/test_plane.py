@@ -15,6 +15,7 @@ from repro.faultinject.plane import (
     parse_rule,
     parse_schedule,
 )
+from repro.kernel import Kernel
 
 
 def make_plane(seed=0):
@@ -56,9 +57,11 @@ class TestGate:
         assert plane.disarm("x") == 1
         assert not plane.armed
         plane.arm("y", OneShot(), FaultAction.err(EINVAL))
+        assert plane.check("y") is not None
         plane.reset()
         assert not plane.armed
-        assert plane.records == []
+        assert (plane.delivered, plane.errnos) == (0, 0)
+        assert plane.trace_signature() == FaultPlane().trace_signature()
 
 
 class TestSchedules:
@@ -120,8 +123,8 @@ class TestDeterminism:
     def test_same_seed_same_trace(self):
         one = self.run_workload(7)
         two = self.run_workload(7)
-        assert [r.as_tuple() for r in one.records] == \
-            [r.as_tuple() for r in two.records]
+        assert one.delivered > 0
+        assert (one.delivered, one.errnos) == (two.delivered, two.errnos)
         assert one.trace_signature() == two.trace_signature()
 
     def test_different_seed_different_trace(self):
@@ -139,16 +142,19 @@ class TestDeterminism:
 
 class TestRecordsAndStatus:
     def test_record_fields(self):
-        plane = make_plane()
+        kernel = Kernel()
+        plane = kernel.faults
+        plane.enable(0)
         plane.arm("helper.*", OneShot(), FaultAction.err(ENOMEM))
         plane.check("helper.bpf_ktime_get_ns")
-        (record,) = plane.records
-        assert record.seq == 0
-        assert record.site == "helper.bpf_ktime_get_ns"
-        assert record.pattern == "helper.*"
-        assert record.kind == "errno"
-        assert record.errno == ENOMEM
-        assert record.hit == 1
+        ((seq, event),) = plane.retained(kernel.events.ring)
+        assert seq == 0
+        assert event.source == "helper.bpf_ktime_get_ns"
+        assert event.get("pattern") == "helper.*"
+        assert parse_action(event.get("action")) == \
+            FaultAction.err(ENOMEM)
+        assert event.get("hit") == 1
+        assert (plane.delivered, plane.errnos) == (1, 1)
 
     def test_wildcards_match_dotted_sites(self):
         plane = make_plane()

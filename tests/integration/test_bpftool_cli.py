@@ -363,6 +363,19 @@ BAD_INPUT = [
      "--cpus must be at least 1, got 0"),
     ("fleet resume --crash-after 0",
      "--crash-after must be at least 1, got 0"),
+    ("race run unlocked_counter --migration-rate 2 --budget 2",
+     "--migration-rate must be within [0, 1], got 2"),
+    ("race status unlocked_counter --migration-rate -0.5",
+     "--migration-rate must be within [0, 1], got -0.5"),
+    ("net run TMP/pass.s --count -5", "--count must be at least 0, got -5"),
+    ("net run TMP/pass.s --queue-depth -3",
+     "--queue-depth must be at least 0, got -3"),
+    ("prog stats PROG --repeat -2", "--repeat must be at least 0, got -2"),
+    ("race run unlocked_counter --budget -1",
+     "--budget must be at least 0, got -1"),
+    ("race status unlocked_counter --limit -4",
+     "--limit must be at least 0, got -4"),
+    ("trace log PROG --limit -1", "--limit must be at least 0, got -1"),
 ]
 
 

@@ -68,7 +68,7 @@ class TestSoftResetClearsBreakers:
         assert not record.trial
         assert record.consecutive_quarantines == 0
         assert record.release_at_ns is None
-        kinds = [e.kind for e in supervisor.audit_for(TAG)]
+        kinds = [e.get("decision") for e in supervisor.audit_for(TAG)]
         assert "breaker-reset" in kinds
 
     def test_next_run_is_a_clean_run_not_a_refusal(self, world):
@@ -110,10 +110,10 @@ class TestSoftResetClearsBreakers:
         """Resetting a tag with no breaker history is a no-op: no
         audit entry, no health event."""
         kernel, supervisor, _, _ = world
-        audit_before = len(supervisor.audit)
+        decisions_before = supervisor.decisions
         reset = supervisor.reset_breakers(("bpf:never-seen",))
         assert reset == 0
-        assert len(supervisor.audit) == audit_before
+        assert supervisor.decisions == decisions_before
 
 
 class TestContainmentKeepsBreakers:

@@ -72,7 +72,7 @@ class TestContainment:
         health = supervisor.health("bpf:v")
         assert health.state is HealthState.DEGRADED
         assert health.contained == 1
-        kinds = [e.kind for e in supervisor.audit_for("bpf:v")]
+        kinds = [e.get("decision") for e in supervisor.audit_for("bpf:v")]
         assert "contain" in kinds and "degraded" in kinds
 
     def test_unsupervised_kernel_still_oopses(self, leakcheck):
@@ -139,13 +139,13 @@ class TestCircuitBreaker:
         assert health.state is HealthState.HEALTHY
         assert health.reloads == 1
         assert not health.trial
-        kinds = [e.kind for e in supervisor.audit_for(tag)]
+        kinds = [e.get("decision") for e in supervisor.audit_for(tag)]
         assert kinds.count("half-open") == 1
         assert "reload" in kinds and "recovered" in kinds
         # the identical bytecode came back through the load cache
         reload_events = [e for e in supervisor.audit_for(tag)
-                         if e.kind == "reload"]
-        assert reload_events[0].detail["cache_hit"] is True
+                         if e.get("decision") == "reload"]
+        assert reload_events[0].get("cache_hit") is True
 
     def test_trial_failure_requarantines_with_longer_window(
             self, leakcheck):
@@ -167,9 +167,9 @@ class TestCircuitBreaker:
         assert health.state is HealthState.QUARANTINED
         assert health.quarantines == 2
         assert health.consecutive_quarantines == 2
-        spans = [e.detail["release_at_ns"] - e.timestamp_ns
+        spans = [e.get("release_at_ns") - e.timestamp_ns
                  for e in supervisor.audit_for(tag)
-                 if e.kind == "quarantine"]
+                 if e.get("decision") == "quarantine"]
         assert spans[1] == 2 * spans[0]        # exponential breaker
         assert kernel.check_alive()
 
@@ -181,8 +181,8 @@ class TestCircuitBreaker:
         assert health.state is HealthState.QUARANTINED
         assert bpf.run_on_current_task(prog) == to_u64(-EAGAIN)
         quarantine = [e for e in supervisor.audit_for("bpf:v")
-                      if e.kind == "quarantine"][0]
-        assert quarantine.detail["reason"] == "operator request"
+                      if e.get("decision") == "quarantine"][0]
+        assert quarantine.get("reason") == "operator request"
 
 
 class TestTransientRetry:
@@ -202,10 +202,10 @@ class TestTransientRetry:
         assert health.faults_total == 0
         assert health.state is HealthState.HEALTHY
         retries = [e for e in supervisor.audit_for("bpf:h")
-                   if e.kind == "retry"]
-        assert [e.detail["backoff_ns"] for e in retries] \
+                   if e.get("decision") == "retry"]
+        assert [e.get("backoff_ns") for e in retries] \
             == [10_000, 20_000]
-        assert [e.detail["errno"] for e in retries] \
+        assert [e.get("errno") for e in retries] \
             == [EINVAL, EINVAL]
 
     def test_exhausted_retries_count_as_a_fault(self, leakcheck):
@@ -287,7 +287,8 @@ class TestEscalation:
         assert kernel.log.panicked
         assert kernel.log.tainted
         assert supervisor.escalations == 1
-        assert [e.kind for e in supervisor.audit][-1] == "escalate"
+        assert supervisor.audit_for("bpf:v")[-1].get("decision") \
+            == "escalate"
 
     @pytest.mark.dirty_kernel
     def test_containment_invariant_failure_panics(

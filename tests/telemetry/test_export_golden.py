@@ -12,7 +12,7 @@ the kernel logs, traces or exports fails here.
 The log and the trace are views of the kernel's one event ring, so
 each fact behind them is one event: :class:`TestOneRecordPerFact`
 checks that for a cold load, a cache-hit load, a certified load, an
-oops and a supervisor decision.
+oops, a supervisor decision and an injected fault.
 """
 
 import json
@@ -30,7 +30,12 @@ from repro.ebpf.isa import R0
 from repro.ebpf.loader import BpfSubsystem
 from repro.ebpf.progcache import certificate_image
 from repro.ebpf.progs import ProgType
-from repro.faultinject.plane import FaultAction, OneShot
+from repro.faultinject.plane import (
+    ENOMEM,
+    FaultAction,
+    OneShot,
+    parse_action,
+)
 from repro.kernel import Kernel
 from repro.telemetry import to_json, to_prometheus
 
@@ -208,14 +213,34 @@ class TestOneRecordPerFact:
         # decision; a refusal while the breaker is open is one
         assert [e.kind for e in list(kernel.events.ring)[-2:]] == \
             ["health", "recovery"]
-        audited = len(supervisor.audit)
+        decisions = supervisor.decisions
+        digest = supervisor.audit_signature()
         event, refused = one_new_event(
             kernel, lambda: supervisor.gate("bpf:p"))
         assert refused
-        assert len(supervisor.audit) == audited + 1
-        decision = supervisor.audit[-1]
+        assert supervisor.decisions == decisions + 1
+        assert supervisor.audit_signature() != digest
+        assert supervisor.audit_for("bpf:p")[-1] is event
         assert (event.kind, event.get("decision")) == \
             ("recovery", "refused")
-        assert event.lines() == (f"recovery: {decision.render()}",)
+        assert event.lines() == (
+            "recovery: [0] refused bpf:p refusals=1 "
+            "release_at_ns=2000000",)
         assert kernel.telemetry.trace.events()[-1].data == \
-            dict(decision.detail, decision="refused")
+            {"decision": "refused", "refusals": 1,
+             "release_at_ns": 2000000}
+
+    def test_injected_fault(self):
+        kernel = Kernel()
+        plane = kernel.faults
+        plane.enable(7)
+        plane.arm("helper.*", OneShot(), FaultAction.err(ENOMEM))
+        event, action = one_new_event(
+            kernel, lambda: plane.check("helper.bpf_ktime_get_ns"))
+        assert (event.kind, event.source, event.get("action")) == \
+            ("fault", "helper.bpf_ktime_get_ns", "errno:ENOMEM")
+        assert parse_action(event.get("action")) == action
+        assert (plane.delivered, plane.errnos) == (1, 1)
+        assert plane.retained(kernel.events.ring) == [(0, event)]
+        assert kernel.telemetry.trace.events()[-1].data == \
+            {"action": "errno:ENOMEM", "hit": 1, "pattern": "helper.*"}
