@@ -96,7 +96,7 @@ class TraceView:
         held = [e for e in self._events.ring
                 if e.kind in TRACED and (kind is None or e.kind == kind)]
         if limit is not None:
-            held = held[-limit:]
+            held = held[len(held) - min(limit, len(held)):]
         return [trace_row(event) for event in held]
 
     def to_jsonl(self) -> str:

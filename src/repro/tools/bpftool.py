@@ -906,12 +906,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: each numeric option's least value, below which bpftool refuses it
-#: up front: a count of bursts, CPUs, nodes or journal appends below 1
-#: could never finish or would fail deep in the library, and a size
-#: (packets, runs, schedules, a queue, a listing) may be 0
+#: up front: a count of bursts, CPUs, nodes, journal appends or waves
+#: below 1 could never finish, would fail deep in the library or would
+#: act as 1, and a size (packets, runs, schedules, a queue, a listing)
+#: may be 0
 _LEAST = {"batch": 1, "cpus": 1, "nodes": 1, "crash_after": 1,
-          "count": 0, "repeat": 0, "budget": 0, "limit": 0,
-          "queue_depth": 0}
+          "after_wave": 1, "count": 0, "repeat": 0, "budget": 0,
+          "limit": 0, "queue_depth": 0}
 
 
 def _check_counts(args: argparse.Namespace) -> None:

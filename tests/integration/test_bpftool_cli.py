@@ -376,6 +376,7 @@ BAD_INPUT = [
     ("race status unlocked_counter --limit -4",
      "--limit must be at least 0, got -4"),
     ("trace log PROG --limit -1", "--limit must be at least 0, got -1"),
+    ("fleet halt --after-wave 0", "--after-wave must be at least 1, got 0"),
 ]
 
 

@@ -79,6 +79,8 @@ class TestFiltering:
         assert [e.ts_ns for e in trace.events(limit=2)] == [4, 5]
         assert [e.ts_ns
                 for e in trace.events(kind="run", limit=1)] == [5]
+        assert trace.events(limit=0) == []
+        assert len(trace.events(limit=99)) == 6
 
     def test_untraced_kinds_are_not_shown(self, bus):
         trace = TraceView(bus)
