@@ -11,8 +11,8 @@ closure sizes the generator computed — re-measurement is the point).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from repro.ebpf.helpers.registry import HelperRegistry
 from repro.kernel.funcdb import FunctionDatabase

@@ -11,7 +11,7 @@ two years) against the series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 #: release year of each kernel version on the figures' x-axes
 VERSION_YEARS: Dict[str, int] = {

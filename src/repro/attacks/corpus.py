@@ -21,7 +21,7 @@ attack is either rejected by the toolchain or contained at run time.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.ebpf import Asm, BpfSubsystem, ProgType
@@ -33,7 +33,6 @@ from repro.ebpf.isa import (
 from repro.errors import (
     BpfRuntimeError,
     KernelDeadlock,
-    KernelSafetyViolation,
     MemoryFault,
     ResourceLeak,
     SafeLangError,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.kcrate.api import XDP_CTX, build_api_table
+from repro.core.kcrate.api import build_api_table
 from repro.core.kcrate.resources import KernelResource
 from repro.core.loader import LoadedExtension, SafeLoader
 from repro.core.signing import SigningKey

@@ -18,7 +18,7 @@ Every function and method here is the §3.2 program in executable form:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.kcrate.resources import KernelResource, VecHandle

@@ -22,7 +22,7 @@ on every TLB-tagged access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ProtectionKeyFault

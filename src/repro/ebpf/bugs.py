@@ -11,7 +11,7 @@ Every flag cites the paper's reference for the bug it reproduces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 

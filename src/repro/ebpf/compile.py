@@ -56,8 +56,8 @@ from repro.ebpf.predecode import (
     K_ATOMIC, K_BAD, K_CALL_HELPER, K_CALL_SUB, K_EXIT, K_JA,
     K_JMP32_K, K_JMP32_X, K_JMP_K, K_JMP_X, K_LD_IMM64, K_LDX,
     K_MOV32_K, K_MOV32_X, K_MOV64_K, K_MOV64_X, K_ST, K_STX,
-    A_ADD, A_AND, A_ARSH, A_DIV, A_LSH, A_MOD, A_MOV, A_MUL,
-    A_NEG, A_OR, A_RSH, A_SUB, A_XOR, J_EQ, J_GE, J_GT, J_LE, J_LT,
+    A_ADD, A_AND, A_ARSH, A_DIV, A_LSH, A_MOD, A_MUL,
+    A_OR, A_RSH, A_SUB, A_XOR, J_EQ, J_GE, J_GT, J_LE, J_LT,
     J_NE, J_SET, J_SGE, J_SGT, J_SLE, J_SLT, PredecodedProgram,
 )
 from repro.errors import BpfRuntimeError

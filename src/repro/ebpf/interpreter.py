@@ -66,7 +66,7 @@ from repro.ebpf.predecode import (
     K_MOV32_K, K_MOV32_X, K_MOV64_K, K_MOV64_X, K_ST, K_STX,
     MAP_PTR_BASE, A_ADD, A_AND, A_ARSH, A_DIV, A_LSH, A_MOD, A_MUL,
     A_NEG, A_OR, A_RSH, A_SUB, A_XOR, J_EQ, J_GE, J_GT, J_LE, J_LT,
-    J_NE, J_SET, J_SGE, J_SGT, J_SLE, J_SLT, PredecodedProgram,
+    J_NE, J_SET, J_SGE, J_SGT, J_SLT, PredecodedProgram,
     predecode,
 )
 from repro.errors import BpfRuntimeError, KernelOops

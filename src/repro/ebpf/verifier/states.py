@@ -12,8 +12,8 @@ the ablations in the verification-cost benchmark).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.ebpf.verifier.regstate import FuncFrame, RegType, SlotKind
 

@@ -21,14 +21,14 @@ Measured here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.core import SafeExtensionFramework
 from repro.ebpf import Asm, BpfSubsystem, ProgType
 from repro.ebpf.helpers import ids
 from repro.ebpf.isa import R0, R1, R2, R3, R6, R10
-from repro.errors import SafeLangError, VerifierError
+from repro.errors import VerifierError
 from repro.experiments import report
 from repro.kernel import Kernel
 

@@ -12,7 +12,7 @@ rejects statically or contains at run time, with zero compromises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.attacks import AttackCase, Outcome, build_corpus, run_case

@@ -110,11 +110,11 @@ class FleetNode:
         if self.current is not None \
                 and self.current.release_id != release.release_id:
             old_tag = self._tag(self.current)
-            self.kernel.hooks.detach_everywhere(old_tag)
+            self.kernel.hooks.detach_everywhere(old_tag, "redeploy")
             self.kernel.soft_reset(
                 (old_tag,),
                 reason=f"redeploy -> {release.release_id}")
-        self.kernel.hooks.detach_everywhere(tag)
+        self.kernel.hooks.detach_everywhere(tag, "redeploy")
         self.bpf.attach_xdp(prog)
         if self.current is not None \
                 and self.current.release_id != release.release_id:
@@ -140,7 +140,7 @@ class FleetNode:
         suspect, target = self.current, self.previous
         if suspect is not None:
             tag = self._tag(suspect)
-            self.kernel.hooks.detach_everywhere(tag)
+            self.kernel.hooks.detach_everywhere(tag, "rollback")
             self.kernel.soft_reset(
                 (tag,),
                 reason=f"rollback {suspect.release_id} -> "

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from repro.faultinject.plane import FaultPlane
 from repro.kernel.ktime import VirtualClock
@@ -87,8 +87,7 @@ class RetryPolicy:
         return span
 
 
-@dataclass(frozen=True)
-class RpcRequest:
+class RpcRequest(NamedTuple):
     """One control-plane request envelope."""
 
     #: stable id, shared by every retry of the same logical operation
@@ -98,8 +97,7 @@ class RpcRequest:
     args: Tuple[object, ...] = ()
 
 
-@dataclass(frozen=True)
-class RpcOutcome:
+class RpcOutcome(NamedTuple):
     """What the client learned about one logical RPC."""
 
     request_id: str
@@ -163,14 +161,12 @@ class FleetTransport:
     the first attempt.
     """
 
-    def __init__(self, fleet: "object",
-                 policy: Optional[RetryPolicy] = None,
-                 seed: int = 0) -> None:
-        """Carry requests to ``fleet``'s nodes; ``seed`` feeds the
-        backoff jitter (the fault plane has its own seed via
-        ``plane.enable``)."""
+    def __init__(self, fleet: "object", seed: int = 0) -> None:
+        """Carry requests to ``fleet``'s nodes under the default
+        :class:`RetryPolicy`; ``seed`` feeds the backoff jitter (the
+        fault plane has its own seed via ``plane.enable``)."""
         self.fleet = fleet
-        self.policy = policy or RetryPolicy()
+        self.policy = RetryPolicy()
         self.clock = VirtualClock()
         self.plane = FaultPlane(clock=self.clock)
         self.seed = seed

@@ -14,7 +14,7 @@ collect return values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 XDP_DROP = 1
@@ -62,9 +62,11 @@ class HookManager:
                 return True
         return False
 
-    def detach_everywhere(self, name: str) -> int:
-        """Remove ``name`` from every hook chain (quarantine's
-        auto-detach); returns how many attachments were removed."""
+    def detach_everywhere(self, name: str, cause: str) -> int:
+        """Remove ``name`` from every hook chain; returns how many
+        attachments were removed.  ``cause`` says why in the dmesg
+        line: ``quarantine`` (the supervisor's auto-detach),
+        ``redeploy`` or ``rollback`` (a fleet node replacing it)."""
         removed = 0
         for hook, chain in self._hooks.items():
             before = len(chain)
@@ -73,7 +75,7 @@ class HookManager:
                 removed += before - len(chain)
                 self.kernel.log.log(
                     self.kernel.clock.now_ns,
-                    f"hook: detached {name} from {hook} (quarantine)")
+                    f"hook: detached {name} from {hook} ({cause})")
         return removed
 
     def chain(self, hook: str) -> List[Attachment]:

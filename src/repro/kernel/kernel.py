@@ -9,7 +9,7 @@ population (tasks, sockets) that helper functions operate on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import KernelSafetyViolation, MemoryFault
 from repro.faultinject.plane import FaultPlane

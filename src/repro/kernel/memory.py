@@ -17,10 +17,12 @@ the simulated kernel* rather than raising a polite Python error.
 Freed memory stays indexed only as long as it can still catch a bug,
 so the index stays flat over runs of any length:
 
-* the per-run eBPF stack (``bpf_stack``) goes on a LIFO free list and
-  the next run's ``kmalloc`` of a stack hands the same range out again,
-  zeroed, under a fresh :class:`Allocation` — between runs the frame is
-  freed, so an access from outside any run is still a use-after-free;
+* a per-call frame (a type in :data:`RECYCLED_TYPES`: the eBPF stack
+  and the packet and trace contexts) goes on a LIFO free list, and the
+  next call's ``kmalloc`` of that type and size hands the same range
+  out again, zeroed, under a fresh :class:`Allocation` — between calls
+  the frame is freed, so an access from outside any call is still a
+  use-after-free;
 * every other freed range waits in a FIFO quarantine of
   :data:`QUARANTINE_BYTES` (KASAN's design).  Once later frees push it
   out it leaves the index, and since addresses are never reused for
@@ -54,8 +56,10 @@ NULL_PAGE_SIZE = 4096
 #: allocation granularity
 ALLOC_ALIGN = 16
 
-#: type of the per-run eBPF stack frame, the one recycled type
-STACK_TYPE = "bpf_stack"
+#: types that live exactly as long as one call (the per-run eBPF stack,
+#: a packet's skb head and payload, a trace hook's register context):
+#: their frees are recycled by the next call instead of quarantined
+RECYCLED_TYPES = frozenset({"bpf_stack", "sk_buff", "skb_data", "pt_regs"})
 
 #: address space the quarantine may hold, counted in slots (see
 #: :func:`slot_bytes`): at most 8192 freed ranges, so evicting one
@@ -97,13 +101,15 @@ class KernelAddressSpace:
     def __init__(self) -> None:
         self._next_base = KERNEL_BASE
         self._next_id = 1
-        # every range that still resolves: live, free-listed stacks
+        # every range that still resolves: live, free-listed frames
         # and quarantined frees
         self._by_base: List[int] = []          # sorted bases
         self._allocations: Dict[int, Allocation] = {}  # base -> Allocation
         self._live_bytes = 0
-        #: freed stack frames by size, reused last-in first-out
-        self._free_frames: Dict[int, List[Allocation]] = {}
+        #: freed per-call frames by type, then size, reused last-in
+        #: first-out
+        self._free_frames: Dict[str, Dict[int, List[Allocation]]] = {
+            type_name: {} for type_name in RECYCLED_TYPES}
         #: other freed ranges, oldest first
         self._quarantine: Deque[Allocation] = deque()
         self._quarantined_bytes = 0
@@ -127,12 +133,13 @@ class KernelAddressSpace:
                 owner: str = "kernel") -> Allocation:
         """Allocate ``size`` bytes of zeroed kernel memory.
 
-        A stack frame reuses the range of the last freed frame of its
-        size, if there is one; everything else gets a fresh range."""
+        A per-call frame reuses the range of the last freed frame of
+        its type and size, if there is one; everything else gets a
+        fresh range."""
         if size <= 0:
             raise ValueError(f"kmalloc size must be positive, got {size}")
-        frames = (self._free_frames.get(size)
-                  if type_name == STACK_TYPE else None)
+        by_size = self._free_frames.get(type_name)
+        frames = by_size.get(size) if by_size is not None else None
         if frames:
             base = frames.pop().base
         else:
@@ -162,10 +169,11 @@ class KernelAddressSpace:
         alloc.data = bytearray()
         self._live_bytes -= alloc.size
         # The range stays indexed so later accesses report use-after-
-        # free instead of a wild access: a stack until the next run
+        # free instead of a wild access: a frame until the next call
         # reuses it, anything else until the quarantine evicts it.
-        if alloc.type_name == STACK_TYPE:
-            self._free_frames.setdefault(alloc.size, []).append(alloc)
+        by_size = self._free_frames.get(alloc.type_name)
+        if by_size is not None:
+            by_size.setdefault(alloc.size, []).append(alloc)
             return
         self._quarantine.append(alloc)
         self._quarantined_bytes += slot_bytes(alloc.size)

@@ -13,11 +13,12 @@ them through raw addresses — and fault exactly where real code would.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.kernel.memory import Allocation, KernelAddressSpace
-from repro.kernel.refcount import RefcountedObject, RefcountRegistry
+from repro.kernel.refcount import RefcountRegistry
 
 
 @dataclass(frozen=True)
@@ -147,6 +148,11 @@ class RequestSock(KernelObject):
         self.refs = refs.create(f"reqsk:{name}", "request_sock")
 
 
+#: the skb header fields an skb is built with, in one store:
+#: len(4) protocol(4) data(8) data_end(8)
+_SKB_HEAD_PACK = struct.Struct("<IIQQ")
+
+
 class SkBuff(KernelObject):
     """A socket buffer: packet metadata plus a data area."""
 
@@ -165,11 +171,10 @@ class SkBuff(KernelObject):
         super().__init__(mem)
         self.payload_alloc = mem.kmalloc(
             max(len(payload), 1), type_name="skb_data", owner="net")
-        mem.write(self.payload_alloc.base, payload)
-        self.write_field("len", len(payload))
-        self.write_field("protocol", protocol)
-        self.write_field("data", self.payload_alloc.base)
-        self.write_field("data_end", self.payload_alloc.base + len(payload))
+        data = self.payload_alloc.base
+        mem.write(data, payload)
+        mem.write(self.alloc.base, _SKB_HEAD_PACK.pack(
+            len(payload), protocol & 0xFFFF_FFFF, data, data + len(payload)))
 
     def free(self) -> None:
         """Release the header and the payload it points to."""

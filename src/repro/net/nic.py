@@ -5,10 +5,9 @@ write packet bytes through checked loads/stores, but — unlike
 :meth:`~repro.kernel.kernel.Kernel.create_skb`, which kmallocs per
 packet — every RX queue owns one preallocated, endlessly reused
 :class:`XdpFrame`, as real drivers reuse page-pool pages.  Refilling
-it is two checked writes.  A per-packet skb would cost two kmallocs
-and two kfrees, and each freed skb would pass through the address
-space's quarantine, pushing out older freed ranges that could still
-catch a use-after-free.
+it is two checked writes.  A per-packet skb costs the same two writes
+plus two kmallocs and two kfrees, even though the address space
+recycles its freed ranges.
 
 Failpoints: ``net.nic.rx`` fires on every packet at the wire
 (errno = the NIC silently eats it), ``net.queue.enqueue`` at RX-ring

@@ -279,7 +279,8 @@ class Supervisor:
         record.consecutive_quarantines += 1
         now = self.kernel.clock.now_ns
         record.release_at_ns = now + self._quarantine_span_ns(record)
-        detached = self.kernel.hooks.detach_everywhere(record.tag)
+        detached = self.kernel.hooks.detach_everywhere(
+            record.tag, "quarantine")
         self._audit_event(
             "quarantine", record.tag, reason=reason,
             detached_hooks=detached,

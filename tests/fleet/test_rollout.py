@@ -103,6 +103,42 @@ class TestBadRelease:
         assert not report.verdicts
 
 
+def detach_causes(node):
+    """The cause each ``hook: detached`` dmesg line names, in order."""
+    return [line.rsplit("(", 1)[1].rstrip(")")
+            for event in node.kernel.log.grep("hook: detached")
+            for line in event.lines()]
+
+
+class TestDetachCause:
+    def test_redeploy_and_rollback_name_themselves(self):
+        """Replacing a release is not a quarantine: a deploy and a
+        rollback each log their own cause, and nothing is
+        quarantined."""
+        scenario = build_scenario(size=2, seed=SEED)
+        node = scenario.fleet.nodes()[0]
+        assert node.deploy(scenario.good).ok
+        assert node.rollback() == scenario.baseline.release_id
+        assert detach_causes(node) == ["redeploy", "rollback"]
+        record = node.kernel.recovery.health("bpf:xdp-filter")
+        assert record.quarantines == 0
+
+    def test_quarantine_names_itself(self):
+        """A canary whose supervisor quarantines the bad release logs
+        ``quarantine``; the rollback that follows finds it detached
+        already and logs nothing more."""
+        scenario = build_scenario(size=2, seed=SEED)
+        report = scenario.orchestrator.rollout(
+            scenario.bad.release_id, seed=SEED)
+        assert report.outcome == "rolled-back"
+        canaries = [node for node in scenario.fleet.nodes()
+                    if node.kernel.recovery.health(
+                        "bpf:xdp-filter").quarantines]
+        assert canaries
+        for node in canaries:
+            assert detach_causes(node) == ["redeploy", "quarantine"]
+
+
 class TestNodePanic:
     def test_panicked_canaries_read_dead_and_rollout_returns(self):
         """A node whose supervisor escalates to a panic is an outcome,

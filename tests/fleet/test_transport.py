@@ -227,9 +227,8 @@ class TestPartitionsAndCrashes:
     def test_tight_budget_finds_the_agent_down(self, scenario):
         """With fewer attempts than the reboot window needs, the node
         is unreachable — and reachable again after the window."""
-        transport = FleetTransport(
-            scenario.fleet, policy=RetryPolicy(max_attempts=2),
-            seed=SEED)
+        transport = FleetTransport(scenario.fleet, seed=SEED)
+        transport.policy = RetryPolicy(max_attempts=2)
         transport.plane.enable(SEED)
         transport.plane.arm("fleet.node.crash.node-005",
                             NthHit(1), FaultAction.panic())

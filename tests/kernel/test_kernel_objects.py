@@ -156,6 +156,35 @@ class TestObjects:
         skb = kernel.create_skb(b"")
         assert skb.read_field("len") == 0
 
+    def test_skb_is_built_in_two_checked_stores(self):
+        kernel = Kernel()
+        stores = []
+        write = kernel.mem.write
+
+        def counted(address, data, **kwargs):
+            stores.append((address, len(data)))
+            write(address, data, **kwargs)
+
+        kernel.mem.write = counted
+        skb = kernel.create_skb(b"hello", protocol=0x86DD)
+        assert stores == [(skb.data, 5), (skb.address, 24)]
+        assert [skb.read_field(name)
+                for name in ("len", "protocol", "mark")] == [5, 0x86DD, 0]
+        assert skb.data_end == skb.data + 5
+
+    def test_stale_skb_aliases_the_next_packets_skb(self):
+        """The recycled-frame precision trade: a freed skb's range is
+        the next packet's skb, so a stale handle reads the live one."""
+        kernel = Kernel()
+        first = kernel.create_skb(b"hello")
+        first.free()
+        with pytest.raises(MemoryFault):
+            first.read_field("len")
+        second = kernel.create_skb(b"hi")
+        assert (second.address, second.data) == (first.address, first.data)
+        assert first.read_field("len") == 2
+        second.free()
+
     def test_write_field_truncates(self):
         kernel = Kernel()
         skb = kernel.create_skb(b"x")

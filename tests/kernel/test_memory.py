@@ -13,6 +13,7 @@ from repro.kernel.memory import (
     KernelAddressSpace,
     NULL_PAGE_SIZE,
     QUARANTINE_BYTES,
+    RECYCLED_TYPES,
     slot_bytes,
 )
 
@@ -279,7 +280,7 @@ class TestStackRecycling:
         assert stack(mem).base == b.base
         assert stack(mem).base == a.base
 
-    def test_only_stacks_are_recycled(self, mem):
+    def test_only_per_call_types_are_recycled(self, mem):
         buf = mem.kmalloc(512, type_name="val")
         mem.kfree(buf)
         assert mem.kmalloc(512, type_name="val").base != buf.base
@@ -292,6 +293,85 @@ class TestStackRecycling:
             mem.kfree(outer)
         assert len(mem._by_base) == 2
         assert mem.live_allocations() == []
+
+
+#: the per-call contexts recycled beside the stack, at the sizes their
+#: call sites allocate: an skb head, a 64-byte payload, a trace hook's
+#: registers (the stack's own cases are TestStackRecycling's)
+CONTEXTS = [("sk_buff", 32), ("skb_data", 64), ("pt_regs", 64)]
+
+
+def test_the_recycled_types_are_the_stack_and_the_contexts():
+    assert RECYCLED_TYPES == {"bpf_stack"} | {name for name, __ in CONTEXTS}
+
+
+@pytest.mark.parametrize("type_name,size", CONTEXTS)
+class TestContextRecycling:
+    def test_next_call_gets_the_same_base_zeroed_under_a_new_id(
+            self, mem, type_name, size):
+        first = mem.kmalloc(size, type_name=type_name, owner="net")
+        mem.write(first.base, b"\xff" * size)
+        mem.kfree(first)
+        second = mem.kmalloc(size, type_name=type_name, owner="trace")
+        assert second.base == first.base
+        assert second.alloc_id != first.alloc_id
+        assert second.owner == "trace"
+        assert mem.read(second.base, size) == bytes(size)
+
+    def test_stale_handle_second_kfree_faults(self, mem, type_name, size):
+        stale = mem.kmalloc(size, type_name=type_name)
+        mem.kfree(stale)
+        current = mem.kmalloc(size, type_name=type_name)
+        with pytest.raises(UseAfterFree):
+            mem.kfree(stale)
+        assert not current.freed
+        assert mem.read(current.base, size) == bytes(size)
+
+    def test_read_between_calls_is_use_after_free(
+            self, mem, type_name, size):
+        frame = mem.kmalloc(size, type_name=type_name)
+        mem.kfree(frame)
+        with pytest.raises(UseAfterFree):
+            mem.read(frame.base, 1)
+        mem.kfree(mem.kmalloc(size, type_name=type_name))
+        with pytest.raises(UseAfterFree):
+            mem.read(frame.base, 1)
+        assert not mem.valid_range(frame.base, 1)
+
+    def test_nested_live_contexts_are_distinct(self, mem, type_name, size):
+        outer = mem.kmalloc(size, type_name=type_name)
+        inner = mem.kmalloc(size, type_name=type_name)
+        assert inner.base != outer.base
+        mem.kfree(inner)
+        again = mem.kmalloc(size, type_name=type_name)
+        assert again.base == inner.base != outer.base
+        mem.kfree(again)
+        mem.kfree(outer)
+        assert len(mem._by_base) == 2
+
+    def test_out_of_bounds_still_faults_on_a_reused_frame(
+            self, mem, type_name, size):
+        mem.kfree(mem.kmalloc(size, type_name=type_name))
+        frame = mem.kmalloc(size, type_name=type_name)
+        with pytest.raises(OutOfBoundsAccess):
+            mem.read(frame.base + size - 4, 8)
+
+    def test_frames_are_reused_by_their_own_type_and_size_only(
+            self, mem, type_name, size):
+        frame = mem.kmalloc(size, type_name=type_name)
+        mem.kfree(frame)
+        assert mem.kmalloc(size, type_name="bpf_stack").base != frame.base
+        assert mem.kmalloc(size + 16, type_name=type_name).base \
+            != frame.base
+
+    def test_a_type_outside_the_set_is_still_quarantined(
+            self, mem, type_name, size):
+        victim = mem.kmalloc(size, type_name="sock")
+        mem.kfree(victim)
+        assert list(mem._quarantine) == [victim]
+        assert mem.kmalloc(size, type_name=type_name).base != victim.base
+        with pytest.raises(UseAfterFree):
+            mem.read(victim.base, 1)
 
 
 def free_slots(mem, nbytes):

@@ -154,11 +154,11 @@ class TestQuarantineDetach:
         kernel.hooks.attach("xdp", "bpf:v", lambda ctx: 0)
         kernel.hooks.attach("trace", "bpf:other", lambda ctx: 0)
 
-        assert kernel.hooks.detach_everywhere("bpf:v") == 2
+        assert kernel.hooks.detach_everywhere("bpf:v", "quarantine") == 2
         assert [a.name for a in kernel.hooks.chain("trace")] \
             == ["bpf:other"]
         assert kernel.hooks.chain("xdp") == []
-        assert kernel.hooks.detach_everywhere("bpf:v") == 0
+        assert kernel.hooks.detach_everywhere("bpf:v", "quarantine") == 0
 
 
 class TestRefReclaim:
