@@ -18,20 +18,48 @@ coverage:
 		|| echo "coverage: pytest-cov not installed; skipping" \
 			"(pip install pytest-cov to enable)"
 
+# The chaos and recover suites' full signatures.  The runner's double
+# run only shows that two runs of one commit agree, so a drift that
+# repeats in both runs would pass it; tier-1 pins the other three
+# suites (tests/test_scenarios.py).
+SIGNATURE_chaos = bb9c7e8366635f146df73657d8062eea512c7826ace5bdf2cc711564855223ed
+SIGNATURE_recover = c2c1ad141b8fba911d5beb41eabbe95c507d757c0a45262dc728439bf37fccfe
+
+# Reads a suite's JSON report on stdin and fails unless the suite held
+# every invariant, both runs agreed and the signature is the one given
+# as the first argument.
+define CHECK_PINNED
+import json, sys
+doc = json.load(sys.stdin)
+for violation in doc["violations"]:
+    print(doc["suite"] + ": VIOLATION: " + violation)
+pinned = doc["signature"] == sys.argv[1]
+print("%s: %d cases, %d violations, deterministic: %s, signature %s"
+      % (doc["suite"], len(doc["results"]), len(doc["violations"]),
+         doc["deterministic"], doc["signature"]))
+if not pinned:
+    print(doc["suite"] + ": signature drifted from " + sys.argv[1])
+sys.exit(0 if doc["ok"] and pinned else 1)
+endef
+export CHECK_PINNED
+
 # Replay the attack corpus under every canned fault schedule, check
 # the isolation invariants, and prove the replay is a pure function
 # of the seed by running it twice.  Every scenario target below runs
 # `python -m repro.scenarios <suite>`, which always runs its suite
-# twice and compares signatures.
+# twice and compares signatures; chaos and recover must also print
+# their pinned signature.
 chaos:
-	PYTHONPATH=src python -m repro.scenarios chaos
+	PYTHONPATH=src python -m repro.scenarios chaos --json \
+		| python -c "$$CHECK_PINNED" $(SIGNATURE_chaos)
 
 # Same corpus replay with the recovery supervisor enabled: every case
 # must leave the kernel alive (oopses contained, taint clear), plus a
 # per-schedule demonstration that a crashing program is quarantined
 # and auto-reloaded back to health — deterministically per seed.
 recover:
-	PYTHONPATH=src python -m repro.scenarios recover
+	PYTHONPATH=src python -m repro.scenarios recover --json \
+		| python -c "$$CHECK_PINNED" $(SIGNATURE_recover)
 
 # Deterministic race hunt: explore seeded multi-CPU interleavings
 # until both planted concurrency bugs (lock-discipline, RCU

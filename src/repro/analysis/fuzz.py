@@ -180,8 +180,7 @@ class FuzzReport:
             and not self.soundness_violations
 
 
-def fuzz_campaign(iterations: int = 300, seed: int = 1337,
-                  run_accepted: bool = True) -> FuzzReport:
+def fuzz_campaign(iterations: int = 300, seed: int = 1337) -> FuzzReport:
     """Run the campaign; deterministic for a given seed."""
     rng = random.Random(seed)
     report = FuzzReport()
@@ -201,8 +200,6 @@ def fuzz_campaign(iterations: int = 300, seed: int = 1337,
                 f"seed={seed} iter={index}: {error!r}")
             continue
         report.accepted += 1
-        if not run_accepted:
-            continue
         try:
             bpf.run_on_current_task(prog)
             report.ran_clean += 1
@@ -211,7 +208,7 @@ def fuzz_campaign(iterations: int = 300, seed: int = 1337,
         except KernelSafetyViolation as violation:
             report.soundness_violations.append(
                 f"seed={seed} iter={index}: {violation!r}")
-        if not kernel.healthy or kernel.rcu.stall_reports:
+        if not kernel.healthy or kernel.rcu.stalls:
             report.soundness_violations.append(
                 f"seed={seed} iter={index}: kernel tainted after an "
                 "accepted program")
@@ -266,7 +263,7 @@ def observe_engine(program: List[Insn], index: int,
         "helper_calls": bpf.vm.helper_calls,
         "clock_ns": kernel.clock.now_ns,
         "healthy": kernel.healthy,
-        "stalls": len(kernel.rcu.stall_reports),
+        "stalls": kernel.rcu.stalls,
         "telemetry": (row.run_cnt, row.run_time_ns, row.insns,
                       row.helper_calls,
                       tuple(sorted(row.helper_counts.items())),
@@ -291,16 +288,14 @@ class DifferentialReport:
 
 
 def differential_campaign(min_compared: int = 200, seed: int = 421,
-                          max_insns: int = 24,
-                          max_programs: int = 0) -> DifferentialReport:
+                          max_insns: int = 24) -> DifferentialReport:
     """Generate random programs until ``min_compared`` of them have
     *executed* identically on every engine in :data:`DIFF_ENGINES`
     (rejections are also compared, but don't count toward the quota).
     Deterministic for a given seed."""
     rng = random.Random(seed)
     report = DifferentialReport()
-    cap = max_programs or min_compared * 12
-    for index in range(cap):
+    for index in range(min_compared * 12):
         if report.compared >= min_compared:
             break
         program = random_program(rng, max_insns)

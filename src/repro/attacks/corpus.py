@@ -92,7 +92,7 @@ def _ebpf_outcome(kernel: Kernel, loader_fn, runner_fn,
         return Outcome.KERNEL_COMPROMISED
     except BpfRuntimeError:
         return Outcome.HARMLESS
-    if not kernel.healthy or kernel.rcu.stall_reports:
+    if not kernel.healthy or kernel.rcu.stalls:
         return Outcome.KERNEL_COMPROMISED
     leaks = kernel.refs.outstanding_for("kernel-sk-lookup-lost")
     if leaks:
@@ -112,7 +112,7 @@ def _safelang_outcome(kernel: Kernel, source: str, name: str,
     except SafeLangError:
         return Outcome.REJECTED_STATIC
     result = framework.run_on_packet(loaded, b"attack-payload")
-    if not kernel.healthy or kernel.rcu.stall_reports:
+    if not kernel.healthy or kernel.rcu.stalls:
         return Outcome.KERNEL_COMPROMISED
     if kernel.refs.outstanding_for(f"safelang:{name}"):
         return Outcome.KERNEL_COMPROMISED

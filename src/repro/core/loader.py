@@ -50,7 +50,6 @@ class SafeLoader:
         self.trusted_keys = dict(trusted_keys)
         self.api = api or build_api_table()
         self._next_id = 1
-        self.loaded: List[LoadedExtension] = []
 
     def load(self, ext: CompiledExtension,
              maps: Optional[List[object]] = None) -> LoadedExtension:
@@ -106,7 +105,6 @@ class SafeLoader:
             maps=list(maps or []), symbols=resolved,
             load_time_s=time.perf_counter() - start)
         self._next_id += 1
-        self.loaded.append(loaded)
         # the signature check + fixup IS this framework's load-time
         # validation, so it lands in the same "verify" stage column
         # the eBPF verifier reports into — that is the paper's

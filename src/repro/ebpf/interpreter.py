@@ -169,13 +169,12 @@ class BpfVm:
 
     def __init__(self, kernel: Kernel, subsystem: "object",
                  bugs: Optional[BugConfig] = None,
-                 loop_sample_limit: int = 256,
                  engine: Optional[str] = None) -> None:
         self.kernel = kernel
         self.subsystem = subsystem
         self.bugs = bugs or BugConfig()
         #: concrete iterations executed before fast-forwarding a loop
-        self.loop_sample_limit = loop_sample_limit
+        self.loop_sample_limit = 256
         engine = DEFAULT_ENGINE if engine is None else engine
         if engine is not None and engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; "

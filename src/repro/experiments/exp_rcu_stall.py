@@ -33,6 +33,7 @@ from repro.ebpf.isa import R0, R1, R2, R3, R4, R10
 from repro.experiments import report
 from repro.kernel.kernel import Kernel
 from repro.kernel.ktime import NSEC_PER_SEC
+from repro.kernel.rcu import stalled_ns
 
 SECONDS_PER_YEAR = 365.25 * 24 * 3600
 
@@ -143,9 +144,10 @@ def run(sample_limit: int = 64) -> StallResult:
         ProgType.KPROBE, "stall-800s")
     bpf.run_on_current_task(prog)
     long_run_s = kernel.clock.now_seconds
-    stalls = kernel.rcu.stall_reports
-    first_stall_s = stalls[0].duration_ns / NSEC_PER_SEC if stalls \
-        else float("inf")
+    first_stall = next((e for e in kernel.events.ring
+                        if e.kind == "rcu_stall"), None)
+    first_stall_s = stalled_ns(first_stall) / NSEC_PER_SEC \
+        if first_stall is not None else float("inf")
 
     # 3. extrapolation by nesting depth (BPF_MAX_LOOPS per level)
     projections = []
@@ -171,12 +173,12 @@ def run(sample_limit: int = 64) -> StallResult:
         ns_per_iteration=slope,
         max_fit_error=max_err,
         long_run_seconds=long_run_s,
-        long_run_stalls=len(stalls),
+        long_run_stalls=kernel.rcu.stalls,
         first_stall_after_s=first_stall_s,
         projections=projections,
         safelang_terminated=sl_result.terminated,
         safelang_runtime_ns=sl_runtime,
-        safelang_stalls=len(sl_kernel.rcu.stall_reports),
+        safelang_stalls=sl_kernel.rcu.stalls,
         safelang_kernel_healthy=sl_kernel.healthy,
     )
 

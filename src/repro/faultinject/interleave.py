@@ -238,6 +238,9 @@ def scenario_rcu_publish(smp: SmpScheduler) -> Callable[[], object]:
                     kernel.rcu.gp_seq)
 
 
+#: CPU counts every race-free scenario must give one signature across
+NPROCS = (1, 2, 4)
+
 #: name -> (builder, expectation); expectation is what the explorer /
 #: corpus check asserts
 PLANTED = {
@@ -308,7 +311,6 @@ def hunt_planted(budget: int, base_seed: int) -> Dict[str, object]:
 
 
 def check_race_free(budget: int, base_seed: int,
-                    nprocs: Tuple[int, ...] = (1, 2, 4),
                     scenarios: Optional[Dict[str, Callable]] = None) \
         -> Dict[str, object]:
     """The nproc-invariance differential over the race-free corpus.
@@ -324,7 +326,7 @@ def check_race_free(budget: int, base_seed: int,
         for index in range(budget):
             seed = base_seed + index
             per_nproc: List[str] = []
-            for nproc in nprocs:
+            for nproc in NPROCS:
                 invariant, trace, races = run_signature(
                     builder, nproc, seed)
                 if races:
@@ -341,11 +343,11 @@ def check_race_free(budget: int, base_seed: int,
             if len(set(per_nproc)) != 1:
                 raise AssertionError(
                     f"{name}: run signature differs across nproc "
-                    f"{nprocs} at seed={seed}")
+                    f"{NPROCS} at seed={seed}")
             signatures.add(per_nproc[0])
         report[name] = {
             "seeds": budget,
-            "nprocs": list(nprocs),
+            "nprocs": list(NPROCS),
             "distinct_outcomes": len(signatures),
         }
     return report

@@ -20,7 +20,7 @@ programs — is not a leak and is not flagged.
 from __future__ import annotations
 
 import re
-from typing import Iterable, List
+from typing import List
 
 #: refcount holders whose outstanding references are extension leaks;
 #: everything else (e.g. the corpus's deliberately-lost
@@ -30,10 +30,7 @@ EXTENSION_HOLDER_PREFIXES = ("bpf:", "safelang:")
 _RINGBUF_REC = re.compile(r"ringbuf\d+_rec$")
 
 
-def collect_violations(
-        kernel: object,
-        holder_prefixes: Iterable[str] = EXTENSION_HOLDER_PREFIXES,
-) -> List[str]:
+def collect_violations(kernel: object) -> List[str]:
     """Every isolation-invariant violation visible on ``kernel``.
 
     Returns human-readable strings (empty list = balanced).  Callers
@@ -72,9 +69,8 @@ def collect_violations(
                 f"outstanding ringbuf reservation at {alloc.base:#x} "
                 f"({alloc.type_name}, never submitted or discarded)")
 
-    prefixes = tuple(holder_prefixes)
     for holder in kernel.refs.outstanding_holders():
-        if not holder.startswith(prefixes):
+        if not holder.startswith(EXTENSION_HOLDER_PREFIXES):
             continue
         leaked = kernel.refs.outstanding_for(holder)
         detail = ", ".join(
@@ -90,7 +86,7 @@ def collect_violations(
         # an untainted kernel must have had every extension-held lock
         # released; a tainted kernel's lock state is wreckage and is
         # judged by the containment invariant instead
-        for prefix in prefixes:
+        for prefix in EXTENSION_HOLDER_PREFIXES:
             for lock in kernel.locks.all_locks():
                 owner = lock.owner
                 if owner is not None and owner.startswith(prefix):
@@ -101,17 +97,17 @@ def collect_violations(
 
 
 def panic_path_consistent(kernel: object) -> bool:
-    """True when taint and the oops record agree.
+    """True when every oops is accounted for.
 
-    With scoped taint the contract is: the kernel is tainted exactly
-    when it panicked or at least one recorded oops was *not* contained
-    by the recovery supervisor.  A taint flag with no backing record
-    (or an uncontained record with no taint) means something died —
-    or was forgiven — outside the official panic path.
+    Taint is computed from the open oopses, so it cannot disagree with
+    them; what can go wrong is an oops that left the log other than
+    through containment.  The contract is that every oops recorded is
+    either still open or was contained: ``oops_total == contained +
+    len(open_oopses)``.  An oops missing from both means something was
+    forgiven outside the official panic path.
     """
     log = kernel.log
-    expected = log.panicked or bool(log.uncontained_oopses())
-    return log.tainted == expected
+    return log.oops_total == log.contained + len(log.open_oopses)
 
 
 def kernel_violations(kernel: object) -> List[str]:
@@ -120,10 +116,11 @@ def kernel_violations(kernel: object) -> List[str]:
     every kernel to after a run."""
     violations = collect_violations(kernel)
     if not panic_path_consistent(kernel):
+        log = kernel.log
         violations.append(
-            "taint/oops mismatch: kernel died outside the official "
-            f"panic path (tainted={kernel.log.tainted}, "
-            f"oopses={len(kernel.log.oopses)})")
+            "oops count mismatch: an oops left the log outside the "
+            f"official panic path (total={log.oops_total}, "
+            f"contained={log.contained}, open={len(log.open_oopses)})")
     return violations
 
 
@@ -134,18 +131,17 @@ def recovery_consistent(kernel: object) -> List[str]:
     problems: List[str] = []
     supervisor = kernel.recovery
     log = kernel.log
-    contained_records = sum(1 for o in log.oopses if o.contained)
     if supervisor is None:
-        if contained_records:
+        if log.contained:
             problems.append(
-                f"{contained_records} oopses marked contained but no "
+                f"{log.contained} oopses marked contained but no "
                 "supervisor was ever attached")
         return problems
     # every containment the supervisor performed must reference real
     # oops records (or have had nothing to clear), never the reverse
-    if contained_records and supervisor.contained_total == 0:
+    if log.contained and supervisor.contained_total == 0:
         problems.append(
-            f"{contained_records} oopses marked contained but the "
+            f"{log.contained} oopses marked contained but the "
             "supervisor performed no containments")
     if supervisor.escalations and not log.panicked:
         problems.append(

@@ -40,13 +40,12 @@ class FleetNode:
     """One node of the simulated fleet."""
 
     def __init__(self, node_id: str, spec: KernelSpec,
-                 trusted_key: SigningKey,
-                 funcdb: Optional[object] = None) -> None:
+                 trusted_key: SigningKey) -> None:
         """Boot one node from the fleet image ``spec``; the node
         trusts releases, and its kernel load certificates, signed by
         ``trusted_key``."""
         self.node_id = node_id
-        self.kernel = Kernel.from_spec(spec, funcdb=funcdb)
+        self.kernel = Kernel.from_spec(spec)
         self.bpf = BpfSubsystem.from_spec(self.kernel,
                                           trusted_key=trusted_key)
         self.trusted_key = trusted_key

@@ -91,15 +91,14 @@ class SimFleet:
     """The node directory: N simulated kernels, by node id."""
 
     def __init__(self, size: int, spec: KernelSpec,
-                 trusted_key: SigningKey,
-                 node_prefix: str = "node") -> None:
+                 trusted_key: SigningKey) -> None:
         """Stamp out ``size`` nodes from ``spec``; every node trusts
         releases signed by ``trusted_key``."""
         if size <= 0:
             raise ValueError(f"fleet size must be positive, got {size}")
         self._nodes: Dict[str, FleetNode] = {}
         for index in range(size):
-            node_id = f"{node_prefix}-{index:03d}"
+            node_id = f"node-{index:03d}"
             self._nodes[node_id] = FleetNode(
                 node_id, spec, trusted_key)
 

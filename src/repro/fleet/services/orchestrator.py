@@ -186,8 +186,6 @@ class RolloutOrchestrator:
     """Drives releases through a fleet, one rollout at a time."""
 
     def __init__(self, fleet: object, registry: ReleaseRegistry,
-                 planner: Optional[RolloutPlanner] = None,
-                 canary: Optional[CanaryEvaluator] = None,
                  telemetry: Optional[object] = None,
                  transport: Optional[FleetTransport] = None) -> None:
         """Wire the services together over ``fleet``, the node
@@ -200,8 +198,8 @@ class RolloutOrchestrator:
         one wire-latency tick per call)."""
         self.fleet = fleet
         self.registry = registry
-        self.planner = planner or RolloutPlanner()
-        self.canary = canary or CanaryEvaluator()
+        self.planner = RolloutPlanner()
+        self.canary = CanaryEvaluator()
         self.telemetry = telemetry
         self.transport = transport or FleetTransport(fleet)
         self._halt_requested = False

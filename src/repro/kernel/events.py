@@ -3,18 +3,19 @@
 Each :class:`~repro.kernel.kernel.Kernel` owns one :class:`EventBus`,
 its one store of what happened and its one way to watch it.  A
 producer publishes each fact once, as one :class:`KernelEvent` of a
-kind — ``log`` (a plain message), ``oops``, ``load``, ``recovery`` (a
-supervisor decision), ``health``, ``soft-reset``, and the telemetry
-hub's ``run``, ``helper``, ``watchdog_kill``, ``panic``,
-``ringbuf_drop``, ``fault`` and
+kind — ``log`` (a plain message), ``oops``, ``rcu_stall`` (a stall
+warning), ``load``, ``recovery`` (a supervisor decision), ``health``,
+``soft-reset``, and the telemetry hub's ``run``, ``helper``,
+``watchdog_kill``, ``panic``, ``ringbuf_drop``, ``fault`` and
 ``map_op``.  The bus keeps the newest :data:`EVENT_RING_RECORDS` events
 (once the ring is full, each new event overwrites the oldest, as
 dmesg's ``log_buf_len`` does) and hands each event to the subscribers
 of its kind.  The kernel log and the telemetry trace are views of the
 ring: :meth:`~repro.kernel.panic.KernelLog.dmesg` renders the events
 that carry a dmesg line, ``Telemetry.trace`` the traced kinds as JSONL.
-A frequent fact (a load, an oops) carries a function that renders its
-line from its fields instead of the text, so it holds no string.
+A frequent fact (a load, an oops, a stall) carries a function that
+renders its line from its fields instead of the text, so it holds no
+string.
 
 Delivery is synchronous and in subscription order, so the stream is
 as deterministic as the simulation itself: the sequence of events is

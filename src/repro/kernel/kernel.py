@@ -15,7 +15,6 @@ from repro.errors import KernelSafetyViolation, MemoryFault
 from repro.faultinject.plane import FaultPlane
 from repro.kernel.cpu import Cpu
 from repro.kernel.events import EventBus
-from repro.kernel.funcdb import FunctionDatabase, build_default_funcdb
 from repro.kernel.ktime import VirtualClock
 from repro.kernel.spec import KernelSpec
 from repro.kernel.locks import LockRegistry
@@ -34,11 +33,10 @@ class Kernel:
     """One booted instance of the simulated kernel."""
 
     def __init__(self, nr_cpus: int = 4,
-                 funcdb: Optional[FunctionDatabase] = None,
                  spec: Optional[KernelSpec] = None) -> None:
-        """Boot a kernel.  The legacy keywords are a thin shim over
-        :class:`~repro.kernel.spec.KernelSpec`: they are folded into
-        one (``spec`` wins when both are given) and the spec's
+        """Boot a kernel.  The legacy ``nr_cpus`` is a thin shim over
+        :class:`~repro.kernel.spec.KernelSpec`: it is folded into one
+        (``spec`` wins when both are given) and the spec's
         post-boot fields — stats toggle, supervisor, fault schedule —
         are applied last, exactly as :meth:`from_spec` would."""
         if spec is None:
@@ -73,7 +71,6 @@ class Kernel:
         self.refs = RefcountRegistry()
         self.cpus = [Cpu(i) for i in range(spec.nr_cpus)]
         self._current_cpu = 0
-        self._funcdb = funcdb
         #: the deterministic SMP scheduler while a run is active (see
         #: :mod:`repro.kernel.smp`); None keeps every yield-point hook
         #: on its one-attribute-test fast path
@@ -96,14 +93,12 @@ class Kernel:
         spec.configure(self)
 
     @classmethod
-    def from_spec(cls, spec: KernelSpec,
-                  funcdb: Optional[FunctionDatabase] = None,
-                  ) -> "Kernel":
+    def from_spec(cls, spec: KernelSpec) -> "Kernel":
         """Stamp one kernel from a declarative spec — the fleet's
         node factory.  Equal specs yield identically-configured
         kernels (module defaults aside), which is what makes a
         rollout wave uniform."""
-        return cls(funcdb=funcdb, spec=spec)
+        return cls(spec=spec)
 
     @property
     def hooks(self) -> "object":
@@ -115,13 +110,6 @@ class Kernel:
         return self._hooks
 
     # -- subsystem access ---------------------------------------------------
-
-    @property
-    def funcdb(self) -> FunctionDatabase:
-        """The synthetic source tree (built lazily; shared by default)."""
-        if self._funcdb is None:
-            self._funcdb = build_default_funcdb()
-        return self._funcdb
 
     @property
     def current_cpu(self) -> Cpu:
@@ -140,25 +128,18 @@ class Kernel:
         panicked for good)."""
         return not self.log.tainted
 
-    def assert_healthy(self) -> None:
-        """Raise if the kernel is tainted (experiments use this to
-        classify 'kernel compromised' outcomes).  Contained oopses —
-        unwound and audited by the recovery supervisor — do not
-        count."""
-        self.check_alive()
-
     def check_alive(self) -> bool:
         """The liveness check the chaos harness runs after recovery:
         raises :class:`~repro.errors.KernelSafetyViolation` if the
-        kernel has panicked or carries an uncontained oops; returns
-        True otherwise."""
+        kernel has panicked or holds an open oops (naming the newest);
+        returns True otherwise.  Contained oopses — unwound and
+        audited by the recovery supervisor — do not count."""
         if self.log.panicked:
             raise KernelSafetyViolation(
                 f"kernel panicked: {self.log.panic_reason}",
                 source="kernel")
-        uncontained = self.log.uncontained_oopses()
-        if uncontained:
-            oops = uncontained[-1]
+        if self.log.open_oopses:
+            oops = self.log.open_oopses[-1]
             raise KernelSafetyViolation(
                 f"kernel is tainted: {oops.category}: {oops.reason}",
                 source=oops.source)

@@ -2,18 +2,21 @@
 
 The paper's §2.2 experiment ends in a kernel crash; the simulation must
 make "the kernel crashed" a first-class, observable outcome.  An oops
-is recorded in the kernel log and raised as :class:`~repro.errors.KernelOops`
-(or a subclass); once the kernel has oopsed it is *tainted* and refuses
-further work, which is how experiments distinguish "extension was
-contained" from "kernel compromised".
+is published on the kernel's event ring and raised as
+:class:`~repro.errors.KernelOops` (or a subclass); once the kernel has
+oopsed it is *tainted* and refuses further work, which is how
+experiments distinguish "extension was contained" from "kernel
+compromised".
 
 Taint is *scoped*, not global: an oops attributed to one extension can
 be marked **contained** after the recovery supervisor has unwound that
 extension's fault domain, which clears the taint it caused — with a
-full audit trail in the log.  A kernel is tainted while any
-*uncontained* oops exists, and permanently once it has **panicked**
-(the hard, unrecoverable state the supervisor escalates to when
-containment itself fails or the oops budget is exhausted).
+full audit trail in the log.  The log holds only the oopses not yet
+contained, plus a count of every oops and of every containment; taint
+is computed from them, never stored.  A kernel is tainted while any
+oops is open, and permanently once it has **panicked** (the hard,
+unrecoverable state the supervisor escalates to when containment
+itself fails or the oops budget is exhausted).
 """
 
 from __future__ import annotations
@@ -26,17 +29,14 @@ from repro.kernel.events import EventBus, KernelEvent
 
 @dataclass
 class OopsRecord:
-    """A recorded kernel oops with attribution."""
+    """An oops not yet contained, with attribution."""
 
+    #: the oops's ordinal: how many oopses the log recorded before it
+    seq: int
     timestamp_ns: int
     reason: str
     category: str
     source: str
-    #: set by the recovery supervisor once this oops's fault domain was
-    #: unwound and verified; a contained oops no longer taints
-    contained: bool = False
-    #: why containment was granted (audit trail)
-    contained_reason: str = ""
 
 
 def _oops_lines(event: KernelEvent) -> Tuple[str, ...]:
@@ -50,23 +50,27 @@ class KernelLog:
     bookkeeping.
 
     :meth:`log` and :meth:`record_oops` publish on the ring, and the
-    views read back the held events that carry a dmesg line;
-    ``oopses`` keeps every oops, because taint and the containment
-    budget are computed from it."""
+    views read back the held events that carry a dmesg line.  Of the
+    oopses the log keeps only the open ones, which taint the kernel
+    and which containment clears, and counts the rest."""
 
     def __init__(self, events: Optional[EventBus] = None) -> None:
         #: the ring this log is a view of (its own when it stands alone)
         self.events = events if events is not None else EventBus()
-        self.oopses: List[OopsRecord] = []
-        self._tainted = False
+        #: the oopses not yet contained, oldest first
+        self.open_oopses: List[OopsRecord] = []
+        #: every oops recorded, and every oops contained
+        self.oops_total = 0
+        self.contained = 0
+        self._last_oops: Optional[OopsRecord] = None
         self._panicked = False
         self.panic_reason: Optional[str] = None
 
     @property
     def tainted(self) -> bool:
-        """True while any *uncontained* oops exists, and permanently
-        after a panic."""
-        return self._tainted
+        """True while any oops is open, and permanently after a
+        panic."""
+        return self._panicked or bool(self.open_oopses)
 
     @property
     def panicked(self) -> bool:
@@ -81,9 +85,11 @@ class KernelLog:
     def record_oops(self, timestamp_ns: int, reason: str, *,
                     category: str, source: str) -> None:
         """Record an oops, taint the kernel, and publish it."""
-        self._tainted = True
-        self.oopses.append(
-            OopsRecord(timestamp_ns, reason, category, source))
+        oops = OopsRecord(self.oops_total, timestamp_ns, reason,
+                          category, source)
+        self.oops_total += 1
+        self.open_oopses.append(oops)
+        self._last_oops = oops
         self.events.publish("oops", source=source,
                             timestamp_ns=timestamp_ns, dmesg=_oops_lines,
                             category=category, reason=reason)
@@ -92,7 +98,6 @@ class KernelLog:
               source: str = "kernel") -> None:
         """The hard stop: no containment, no recovery, taint forever."""
         self._panicked = True
-        self._tainted = True
         self.panic_reason = reason
         self.log(timestamp_ns,
                  f"Kernel panic - not syncing: {reason} "
@@ -100,40 +105,26 @@ class KernelLog:
 
     # -- scoped taint / containment -----------------------------------------
 
-    def uncontained_oopses(self) -> List[OopsRecord]:
-        """Oopses whose fault domains were never unwound."""
-        return [o for o in self.oopses if not o.contained]
-
-    @property
-    def contained_count(self) -> int:
-        """How many oopses have been contained so far (budget input)."""
-        return sum(1 for o in self.oopses if o.contained)
-
     def mark_contained(self, sources: Union[str, Iterable[str]],
                        timestamp_ns: int, reason: str) -> int:
-        """Mark every uncontained oops attributed to ``sources`` as
-        contained, clearing the taint they caused.  Each containment is
-        logged (the audit trail); the kernel stays tainted if oopses
-        from *other* sources remain, or if it has panicked.  Returns
-        how many oopses were marked."""
+        """Contain every open oops attributed to ``sources``, clearing
+        the taint they caused.  Each containment is logged (the audit
+        trail); the kernel stays tainted if oopses from *other*
+        sources remain, or if it has panicked.  Returns how many
+        oopses were contained."""
         if isinstance(sources, str):
             sources = {sources}
         else:
             sources = set(sources)
-        marked = 0
-        for oops in self.oopses:
-            if oops.contained or oops.source not in sources:
-                continue
-            oops.contained = True
-            oops.contained_reason = reason
-            marked += 1
+        contained = [o for o in self.open_oopses if o.source in sources]
+        self.open_oopses = [o for o in self.open_oopses
+                            if o.source not in sources]
+        for oops in contained:
             self.log(timestamp_ns,
                      f"recovery: contained oops ({oops.category}: "
                      f"{oops.reason}) [{oops.source}]: {reason}")
-        if marked:
-            self._tainted = self._panicked or \
-                bool(self.uncontained_oopses())
-        return marked
+        self.contained += len(contained)
+        return len(contained)
 
     @property
     def records(self) -> List[KernelEvent]:
@@ -152,6 +143,6 @@ class KernelLog:
             for event in self.records for line in event.lines())
 
     def last_oops(self) -> Optional[OopsRecord]:
-        """The most recent oops, or ``None`` if the kernel never
-        oopsed."""
-        return self.oopses[-1] if self.oopses else None
+        """The most recent oops, contained or not, or ``None`` if the
+        kernel never oopsed."""
+        return self._last_oops

@@ -8,18 +8,20 @@ grace periods and the kernel's RCU stall detector fires.
 
 The simulation models exactly that: entering a program takes the RCU
 read lock, the stall detector is a virtual-clock tick callback, and a
-critical section that outlives the stall timeout produces
-:class:`~repro.errors.RcuStall` reports in the kernel log (repeating,
-as the real detector does) — and, like the real kernel, the detector
+critical section that outlives the stall timeout produces a stall
+warning (repeating, as the real detector does): one ``rcu_stall``
+event on the kernel's event ring, whose dmesg line is rendered from
+its holder and section start, and one tick of
+:attr:`RcuSubsystem.stalls`.  Like the real kernel, the detector
 *reports* the stall but cannot stop the offending code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import RcuStall
+from repro.kernel.events import KernelEvent
 from repro.kernel.ktime import NSEC_PER_SEC, VirtualClock
 from repro.kernel.panic import KernelLog
 
@@ -27,18 +29,17 @@ from repro.kernel.panic import KernelLog
 DEFAULT_STALL_TIMEOUT_NS = 21 * NSEC_PER_SEC
 
 
-@dataclass
-class StallReport:
-    """One RCU stall warning, as would appear in dmesg."""
+def stalled_ns(event: KernelEvent) -> int:
+    """How long the critical section of an ``rcu_stall`` event had
+    been running when the detector warned."""
+    return event.timestamp_ns - event.get("started_ns")
 
-    detected_at_ns: int
-    section_started_at_ns: int
-    holder: str
 
-    @property
-    def duration_ns(self) -> int:
-        """How long the critical section had been running at detection."""
-        return self.detected_at_ns - self.section_started_at_ns
+def _stall_lines(event: KernelEvent) -> Tuple[str, ...]:
+    """A stall warning's dmesg line, rendered from its event."""
+    return (f"rcu: INFO: rcu_sched self-detected stall on CPU "
+            f"({event.source} stuck for "
+            f"{stalled_ns(event) / NSEC_PER_SEC:.0f}s)",)
 
 
 class RcuSubsystem:
@@ -56,7 +57,8 @@ class RcuSubsystem:
         self._section_start_ns: Optional[int] = None
         self._holder = "unknown"
         self._next_report_at: Optional[int] = None
-        self.stall_reports: List[StallReport] = []
+        #: stall warnings issued (each one ``rcu_stall`` event)
+        self.stalls = 0
         #: backref to the owning kernel (wired by Kernel.__init__);
         #: only consulted for ``kernel.smp`` — one attribute test
         self.kernel: Optional[object] = None
@@ -187,17 +189,11 @@ class RcuSubsystem:
         while self._next_report_at is not None \
                 and now_ns >= self._next_report_at \
                 and emitted < self.MAX_REPORTS_PER_TICK:
-            report = StallReport(
-                detected_at_ns=self._next_report_at,
-                section_started_at_ns=self._section_start_ns,
-                holder=self._holder,
-            )
-            self.stall_reports.append(report)
-            stalled_s = report.duration_ns / NSEC_PER_SEC
-            self._log.log(
-                report.detected_at_ns,
-                f"rcu: INFO: rcu_sched self-detected stall on CPU "
-                f"({self._holder} stuck for {stalled_s:.0f}s)")
+            self.stalls += 1
+            self._log.events.publish(
+                "rcu_stall", source=self._holder,
+                timestamp_ns=self._next_report_at, dmesg=_stall_lines,
+                started_ns=self._section_start_ns)
             self._next_report_at += self.stall_timeout_ns
             emitted += 1
         if now_ns >= self._next_report_at:

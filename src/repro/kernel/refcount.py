@@ -88,13 +88,10 @@ class RefcountRegistry:
     def __init__(self) -> None:
         # (id(obj), holder) -> RefLedgerEntry
         self._ledger: Dict[tuple, RefLedgerEntry] = {}
-        self._objects: List[RefcountedObject] = []
 
     def create(self, name: str, type_name: str) -> RefcountedObject:
         """Create a new refcounted object (count 1, held by the kernel)."""
-        obj = RefcountedObject(name, type_name, self)
-        self._objects.append(obj)
-        return obj
+        return RefcountedObject(name, type_name, self)
 
     def note_get(self, obj: RefcountedObject, holder: str) -> None:
         """Record that ``holder`` took a reference."""

@@ -45,13 +45,15 @@ BLOCKED_PORT = 23
 #: virtual inter-arrival gap at line rate (ns)
 LINE_GAP_NS = 120
 
+#: bytes of payload after the header
+PAYLOAD_BYTES = 29
+
 
 class LoadGen:
     """A seeded packet source driving one NIC on the virtual clock."""
 
     def __init__(self, kernel: Kernel, profile: str = "uniform", *,
                  seed: int = 0, nsources: int = 8,
-                 payload_bytes: int = 29,
                  gap_ns: int = LINE_GAP_NS) -> None:
         if profile not in PROFILES:
             raise ValueError(f"unknown profile {profile!r}; "
@@ -66,7 +68,7 @@ class LoadGen:
         #: million-packet run does not build a million byte strings
         self._bodies: List[bytes] = [
             bytes(self._rng.randrange(256)
-                  for __ in range(payload_bytes))
+                  for __ in range(PAYLOAD_BYTES))
             for __ in range(32)]
         #: packets emitted so far
         self.generated = 0

@@ -85,10 +85,11 @@ class FaultDomain:
                          for cpu in kernel.cpus}
         self._irq = {cpu.cpu_id: cpu._irq_depth
                      for cpu in kernel.cpus}
-        #: oops-log high-water mark: every oops recorded after this
-        #: index happened inside the supervised invocation and is
-        #: attributable to the domain regardless of its source string
-        self.oops_mark = len(kernel.log.oopses)
+        #: oops high-water mark: every oops whose ``seq`` is at or
+        #: past this count happened inside the supervised invocation
+        #: and is attributable to the domain regardless of its source
+        #: string
+        self.oops_mark = kernel.log.oops_total
 
     # -- unwind -------------------------------------------------------------
 

@@ -383,9 +383,8 @@ class Supervisor:
         # to the domain, whatever source string it was stamped with
         sources = {tag, getattr(exc, "source", tag)}
         sources.update(
-            oops.source for oops in
-            self.kernel.log.oopses[domain.oops_mark:]
-            if not oops.contained)
+            oops.source for oops in self.kernel.log.open_oopses
+            if oops.seq >= domain.oops_mark)
         # breakers=False: mid-containment the breaker state *is* the
         # health signal — note_fault right after this must see it
         cleared = self.kernel.soft_reset(

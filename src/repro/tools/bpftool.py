@@ -84,6 +84,7 @@ from repro.faultinject.plane import KNOWN_SITES, parse_action
 from repro.kernel import Kernel, KernelSpec
 from repro.recovery.supervisor import render_decision
 from repro.telemetry import to_json, to_prometheus
+from repro.telemetry.trace import TRACED
 
 #: program types that run on a packet carrying ``--payload``; the
 #: others run on the current task
@@ -309,7 +310,7 @@ def cmd_trace_log(args) -> int:
     if run is None:
         return status
     trace = run.bpf.kernel.telemetry.trace
-    events = trace.events(kind=args.kind or None, limit=args.limit)
+    events = trace.events(kind=args.kind, limit=args.limit)
     for event in events:
         print(event.to_json())
     print(f"# {len(events)} events shown, {trace.emitted} emitted, "
@@ -413,9 +414,8 @@ def _alive_line(kernel) -> str:
         kernel.check_alive()
     except KernelSafetyViolation as dead:
         return f"kernel alive: NO ({dead})"
-    contained = kernel.log.contained_count
-    return (f"kernel alive: yes ({contained} oopses contained, "
-            f"taint clear)")
+    return (f"kernel alive: yes ({kernel.log.contained} oopses "
+            "contained, taint clear)")
 
 
 def _run_supervised(args) -> Tuple[Optional[_Outcome], int]:
@@ -916,8 +916,9 @@ _LEAST = {"batch": 1, "cpus": 1, "nodes": 1, "crash_after": 1,
 
 
 def _check_counts(args: argparse.Namespace) -> None:
-    """Refuse a numeric option below its least value, or a migration
-    rate that is not a probability, as unusable input."""
+    """Refuse a numeric option below its least value, a migration
+    rate that is not a probability, or a trace kind the trace never
+    shows, as unusable input."""
     for name, least in _LEAST.items():
         value = getattr(args, name, None)
         if value is not None and value < least:
@@ -927,6 +928,10 @@ def _check_counts(args: argparse.Namespace) -> None:
     if rate is not None and not 0.0 <= rate <= 1.0:
         raise UsageError(
             f"--migration-rate must be within [0, 1], got {rate:g}")
+    kind = getattr(args, "kind", None)
+    if kind is not None and kind not in TRACED:
+        raise UsageError(f"--kind must be one of {', '.join(TRACED)}, "
+                         f"got {kind!r}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

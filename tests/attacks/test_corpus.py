@@ -5,6 +5,7 @@ import pytest
 from repro.attacks import Outcome, build_corpus, run_case
 from repro.ebpf.bugs import BugConfig
 from repro.kernel import Kernel
+from repro.kernel.rcu import stalled_ns
 
 CORPUS = build_corpus()
 
@@ -115,13 +116,14 @@ class TestKernelStateAfterAttacks:
             kernel = Kernel()
             run_case(case, kernel=kernel)
             assert kernel.healthy, case.case_id
-            assert not kernel.rcu.stall_reports, case.case_id
+            assert not kernel.rcu.stalls, case.case_id
 
     def test_rcu_stall_attack_reports_stalls(self):
         case = next(c for c in CORPUS
                     if c.case_id == "ebpf-rcu-stall")
         kernel = Kernel()
         run_case(case, kernel=kernel)
-        assert kernel.rcu.stall_reports
-        assert kernel.rcu.stall_reports[0].duration_ns == \
-            kernel.rcu.stall_timeout_ns
+        assert kernel.rcu.stalls
+        first = next(e for e in kernel.events.ring
+                     if e.kind == "rcu_stall")
+        assert stalled_ns(first) == kernel.rcu.stall_timeout_ns

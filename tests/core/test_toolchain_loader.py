@@ -1,5 +1,7 @@
 """Toolchain, signing, serialization and loader tests."""
 
+import weakref
+
 import pytest
 
 from repro.core import SafeExtensionFramework
@@ -218,6 +220,18 @@ class TestFrameworkFacade:
         loaded = framework.install(GOOD, "good")
         result = framework.run_on_packet(loaded, b"abcd")
         assert result.value == sum(b"abcd")
+
+    def test_dropped_extension_is_freed(self):
+        """The caller's handle is a loaded extension's only reference:
+        dropping it frees the extension at once, by reference
+        counting."""
+        kernel = Kernel()
+        framework = SafeExtensionFramework(kernel)
+        loaded = framework.install(GOOD, "good")
+        framework.run_on_packet(loaded, b"abcd")
+        ref = weakref.ref(loaded)
+        del loaded
+        assert ref() is None
 
     def test_run_on_trace(self):
         kernel = Kernel()

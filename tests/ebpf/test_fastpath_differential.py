@@ -36,7 +36,8 @@ def _observe(case, engine):
     try:
         kernel = Kernel()
         outcome = run_case(case, kernel=kernel)
-        oopses = [(o.category, o.source) for o in kernel.log.oopses]
+        oopses = [(o.category, o.source)
+                  for o in kernel.log.open_oopses]
         return outcome, kernel.log.tainted, oopses
     finally:
         interp_mod.DEFAULT_ENGINE = old
@@ -251,7 +252,7 @@ class TestDirectDifferential:
                 vm.run(prog, regs.base)
             seen.append((vm.insns_executed, kernel.log.tainted,
                          tuple((o.category, o.source)
-                               for o in kernel.log.oopses)))
+                               for o in kernel.log.open_oopses)))
         assert len(set(seen)) == 1, seen
 
     def test_decode_error_matches(self):

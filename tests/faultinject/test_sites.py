@@ -60,7 +60,7 @@ class TestHelperSite:
         with pytest.raises(KernelOops):
             patched.run_on_current_task(prog)
         assert kernel.log.tainted
-        assert [o.category for o in kernel.log.oopses] == \
+        assert [o.category for o in kernel.log.open_oopses] == \
             ["fault-injection"]
 
     def test_delay_charges_virtual_time(self, kernel, patched):
@@ -193,7 +193,7 @@ class TestLoadSites:
         with pytest.raises(KernelOops):
             patched.load_program(helper_prog(), ProgType.KPROBE, "p")
         assert kernel.log.tainted
-        assert kernel.log.oopses[0].category == "fault-injection"
+        assert kernel.log.open_oopses[0].category == "fault-injection"
 
     def test_signature_fault_fails_install(self, kernel):
         from repro.core.loader import SafeLoader

@@ -376,6 +376,9 @@ BAD_INPUT = [
     ("race status unlocked_counter --limit -4",
      "--limit must be at least 0, got -4"),
     ("trace log PROG --limit -1", "--limit must be at least 0, got -1"),
+    ("trace log PROG --kind lod", "--kind must be one of load, run, "
+     "helper, watchdog_kill, panic, oops, ringbuf_drop, recovery, fault, "
+     "map_op, got 'lod'"),
     ("fleet halt --after-wave 0", "--after-wave must be at least 1, got 0"),
 ]
 

@@ -88,7 +88,7 @@ class TestSoak:
         kernel, bpf, framework, __, __sl, __c = world
         assert kernel.healthy
         assert not kernel.rcu.read_lock_held
-        assert kernel.rcu.stall_reports == []
+        assert kernel.rcu.stalls == 0
         kernel.refs.assert_no_leaks("safelang:soak_sl")
         kernel.refs.assert_no_leaks("bpf:soak_count")
         for lock_owner in ("safelang:soak_sl", "bpf:soak_count"):

@@ -91,12 +91,12 @@ class TestKernelAggregate:
         assert not kernel.healthy
         assert kernel.log.last_oops().source == "bpf:test"
 
-    def test_assert_healthy_raises_after_oops(self):
+    def test_check_alive_raises_after_oops(self):
         kernel = Kernel()
         with pytest.raises(MemoryFault):
             kernel.mem.read(0, 8)
         with pytest.raises(KernelSafetyViolation):
-            kernel.assert_healthy()
+            kernel.check_alive()
 
     def test_work_advances_clock(self):
         kernel = Kernel()
@@ -115,11 +115,6 @@ class TestKernelAggregate:
         sock = kernel.create_socket(src_ip=0x0A000001, src_port=443)
         assert kernel.lookup_socket(0x0A000001, 443) is sock
         assert kernel.lookup_socket(0x0A000001, 80) is None
-
-    def test_funcdb_lazy_and_shared(self):
-        kernel = Kernel()
-        assert kernel.funcdb is kernel.funcdb
-        assert len(kernel.funcdb) > 0
 
 
 class TestObjects:

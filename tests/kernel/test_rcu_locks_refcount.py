@@ -7,7 +7,7 @@ from repro.errors import KernelDeadlock, RcuStall, ResourceLeak, \
 from repro.kernel.ktime import NSEC_PER_SEC, VirtualClock
 from repro.kernel.locks import LockRegistry, SpinLock
 from repro.kernel.panic import KernelLog
-from repro.kernel.rcu import RcuReadGuard, RcuSubsystem
+from repro.kernel.rcu import RcuReadGuard, RcuSubsystem, stalled_ns
 from repro.kernel.refcount import RefcountRegistry
 
 
@@ -19,6 +19,11 @@ def clock():
 @pytest.fixture
 def rcu(clock):
     return RcuSubsystem(clock, KernelLog())
+
+
+def stall_events(rcu):
+    """The stall warnings the ring holds, oldest first."""
+    return [e for e in rcu._log.events.ring if e.kind == "rcu_stall"]
 
 
 class TestRcu:
@@ -43,19 +48,19 @@ class TestRcu:
     def test_no_stall_below_timeout(self, rcu, clock):
         rcu.read_lock()
         clock.advance(rcu.stall_timeout_ns - 1)
-        assert rcu.stall_reports == []
+        assert rcu.stalls == 0
 
     def test_stall_detected_at_timeout(self, rcu, clock):
         rcu.read_lock(holder="prog")
         clock.advance(rcu.stall_timeout_ns)
-        assert len(rcu.stall_reports) == 1
-        assert rcu.stall_reports[0].holder == "prog"
+        assert rcu.stalls == 1
+        assert stall_events(rcu)[0].source == "prog"
 
-    def test_stall_reports_repeat(self, rcu, clock):
+    def test_stall_warnings_repeat(self, rcu, clock):
         rcu.read_lock()
         for __ in range(3):
             clock.advance(rcu.stall_timeout_ns)
-        assert len(rcu.stall_reports) == 3
+        assert rcu.stalls == 3
 
     def test_bulk_advance_stamps_first_stall_at_deadline(self, rcu,
                                                          clock):
@@ -63,20 +68,19 @@ class TestRcu:
         exactly the timeout (21s), not at the jump end."""
         rcu.read_lock()
         clock.advance(100 * rcu.stall_timeout_ns)
-        assert rcu.stall_reports
-        first = rcu.stall_reports[0]
-        assert first.duration_ns == rcu.stall_timeout_ns
+        assert rcu.stalls
+        assert stalled_ns(stall_events(rcu)[0]) == rcu.stall_timeout_ns
 
     def test_bulk_advance_report_count_bounded(self, rcu, clock):
         rcu.read_lock()
         clock.advance(10**6 * rcu.stall_timeout_ns)
-        assert len(rcu.stall_reports) <= rcu.MAX_REPORTS_PER_TICK
+        assert rcu.stalls <= rcu.MAX_REPORTS_PER_TICK
 
     def test_unlock_resets_stall_tracking(self, rcu, clock):
         rcu.read_lock()
         rcu.read_unlock()
         clock.advance(10 * rcu.stall_timeout_ns)
-        assert rcu.stall_reports == []
+        assert rcu.stalls == 0
 
     def test_stall_logged_to_dmesg(self, rcu, clock):
         rcu.read_lock(holder="bpf:stall")

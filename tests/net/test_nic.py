@@ -125,7 +125,7 @@ class TestDrops:
                           FaultAction.panic())
         with pytest.raises(KernelOops):
             nic.receive(make_packet(80, 0))
-        assert kernel.log.oopses
+        assert kernel.log.open_oopses
         nic.shutdown()
 
 

@@ -105,5 +105,5 @@ def test_oops_mark_scopes_attribution():
     domain = FaultDomain(kernel, TAG)
     assert domain.oops_mark == 1
     kernel.log.record_oops(5, "in-domain", category="oops", source=TAG)
-    assert [o.reason for o in kernel.log.oopses[domain.oops_mark:]] \
-        == ["in-domain"]
+    assert [o.reason for o in kernel.log.open_oopses
+            if o.seq >= domain.oops_mark] == ["in-domain"]

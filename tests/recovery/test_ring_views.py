@@ -1,15 +1,18 @@
-"""The fault trace and the audit trail are views of the event ring.
+"""The fault trace, the audit trail, oopses and RCU stalls are views
+of the event ring.
 
 The fault plane and the supervisor publish each delivered fault and
 each decision once, as a ``fault`` or ``recovery`` event on the
-kernel's ring, and keep only counts and running digests of them.  So
-ten times the faults and decisions leave both holding what they held
-before, the ring stays at its bound, and the counts and signatures
-still cover every fault and decision the ring has overwritten.
+kernel's ring, and keep only counts and running digests of them; the
+kernel log keeps only the oopses not yet contained, and the stall
+detector only a count of its warnings.  So ten times the faults,
+decisions, oopses and stalls leave each holding what it held before,
+the ring stays at its bound, and the counts and signatures still cover
+every event the ring has overwritten.
 """
 
 import hashlib
-from collections import deque
+from collections import Counter, deque
 
 from repro.ebpf.asm import Asm
 from repro.ebpf.bugs import BugConfig
@@ -115,3 +118,37 @@ def test_counts_and_digests_cover_what_the_ring_overwrote(leakcheck):
     kinds = {event.get("decision") for event in witness.decisions}
     assert {"retry", "degraded", "quarantine", "refused", "half-open",
             "reload"} <= kinds
+
+
+def test_oops_and_stall_counts_cover_what_the_ring_overwrote(leakcheck):
+    kernel = Kernel()
+    leakcheck(kernel)
+    log, rcu = kernel.log, kernel.rcu
+    seen = Counter()
+    kernel.events.subscribe(lambda event: seen.update([event.kind]),
+                            kinds=("oops", "rcu_stall"))
+
+    def drive(cycles):
+        for index in range(cycles):
+            # an oops contained by soft reset, then a stall warning
+            log.record_oops(kernel.clock.now_ns, f"oops {index}",
+                            category="oops", source=TAG)
+            assert kernel.soft_reset({TAG}, reason="unwound") == 1
+            rcu.read_lock(TAG)
+            kernel.clock.advance(rcu.stall_timeout_ns)
+            rcu.read_unlock()
+        assert len(kernel.events.ring) <= EVENT_RING_RECORDS
+        assert log.oops_total == log.contained == seen["oops"]
+        assert rcu.stalls == seen["rcu_stall"]
+        assert log.last_oops().reason == f"oops {cycles - 1}"
+        assert not log.tainted
+        return held(log), held(rcu)
+
+    small = drive(N)
+    large = drive(9 * N)
+
+    assert large == small
+    assert log.oops_total == rcu.stalls == 10 * N > EVENT_RING_RECORDS
+    # the ring wrapped: most oopses survive only in the counts
+    assert sum(e.kind == "oops" for e in kernel.events.ring) < \
+        log.oops_total // 2

@@ -109,7 +109,8 @@ class TestSpinLockOfficialPath:
         lock = kernel.locks.create("map.lock")
         with pytest.raises(KernelDeadlock):
             lock.unlock("bpf:v")
-        assert [o.category for o in kernel.log.oopses] == ["deadlock"]
+        assert [o.category for o in kernel.log.open_oopses] == \
+            ["deadlock"]
 
     def test_bare_spinlock_still_raises_without_a_log(self):
         lock = SpinLock("orphan")
@@ -126,7 +127,7 @@ class TestSpinLockOfficialPath:
         assert lock.force_unlock(source="supervisor") == "bpf:v"
         assert not lock.locked
         assert not kernel.log.tainted
-        assert kernel.log.oopses == []
+        assert kernel.log.oops_total == 0
         assert kernel.log.grep("force-released spinlock map.lock")
         assert lock.force_unlock() is None     # idempotent
 

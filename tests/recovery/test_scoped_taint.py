@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import KernelSafetyViolation
-from repro.faultinject.invariants import panic_path_consistent
+from repro.faultinject.invariants import (
+    kernel_violations,
+    panic_path_consistent,
+)
 from repro.kernel import Kernel
 
 
@@ -19,11 +22,12 @@ class TestMarkContained:
                                     "fault domain unwound")
         assert marked == 1
         assert not log.tainted
-        assert log.contained_count == 1
-        assert log.uncontained_oopses() == []
-        assert log.oopses[0].contained_reason == "fault domain unwound"
+        assert (log.oops_total, log.contained) == (1, 1)
+        assert log.open_oopses == []
         # the audit trail lands in dmesg
-        assert log.grep("recovery: contained oops")
+        assert log.grep("recovery: contained oops")[-1].lines() == (
+            "recovery: contained oops (page-fault: null deref) "
+            "[bpf:v]: fault domain unwound",)
 
     def test_taint_from_other_sources_survives(self):
         """Soft-reset is scoped: containing one extension's oops does
@@ -35,8 +39,7 @@ class TestMarkContained:
 
         assert log.mark_contained({"bpf:a"}, 200, "unwound") == 1
         assert log.tainted                  # bpf:b's oops remains
-        assert [o.source for o in log.uncontained_oopses()] \
-            == ["bpf:b"]
+        assert [o.source for o in log.open_oopses] == ["bpf:b"]
 
         assert log.mark_contained({"bpf:b"}, 300, "unwound") == 1
         assert not log.tainted
@@ -46,7 +49,8 @@ class TestMarkContained:
         kernel.log.record_oops(1, "x", category="oops", source="s")
         assert kernel.log.mark_contained({"s"}, 2, "r") == 1
         assert kernel.log.mark_contained({"s"}, 3, "again") == 0
-        assert kernel.log.oopses[0].contained_reason == "r"
+        assert kernel.log.contained == 1
+        assert len(kernel.log.grep("recovery: contained oops")) == 1
 
     def test_panic_is_permanent(self):
         """A real panic can never be soft-reset away."""
@@ -94,12 +98,13 @@ class TestPanicPathConsistency:
         kernel.soft_reset({"s"}, reason="unwound")
         assert panic_path_consistent(kernel)     # clear + contained
 
-    def test_taint_without_record_is_inconsistent(self):
+    def test_oops_dropped_off_path_is_inconsistent(self):
+        """Every oops is open or contained: one that leaves the log
+        any other way was forgiven outside the official path."""
         kernel = Kernel()
-        kernel.log._tainted = True               # died off-path
+        kernel.log.record_oops(1, "x", category="oops", source="s")
+        kernel.log.open_oopses.pop()             # forgiven off-path
+        assert not kernel.log.tainted
         assert not panic_path_consistent(kernel)
-
-    def test_panic_without_taint_is_inconsistent(self):
-        kernel = Kernel()
-        kernel.log._panicked = True
-        assert not panic_path_consistent(kernel)
+        assert any("oops count mismatch" in v
+                   for v in kernel_violations(kernel))

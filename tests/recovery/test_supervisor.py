@@ -67,7 +67,7 @@ class TestContainment:
         assert value == to_u64(-EFAULT)
         assert not kernel.log.tainted
         assert kernel.check_alive()
-        assert kernel.log.contained_count == 1
+        assert kernel.log.contained == 1
         assert supervisor.contained_total == 1
         health = supervisor.health("bpf:v")
         assert health.state is HealthState.DEGRADED
@@ -88,7 +88,7 @@ class TestContainment:
             bpf.run_on_current_task(prog)
         assert kernel.log.tainted
         # the leakcheck contract still holds: official panic path
-        kernel.log.oopses  # tainted kernels skip the lock check
+        kernel.log.open_oopses  # tainted kernels skip the lock check
 
 
 class TestCircuitBreaker:

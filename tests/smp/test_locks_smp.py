@@ -23,7 +23,7 @@ class TestLockdepSameCpu:
         with pytest.raises(KernelDeadlock, match="lockdep"):
             smp.run()
         assert kernel.log.tainted
-        oops = kernel.log.oopses[-1]
+        oops = kernel.log.last_oops()
         assert oops.category == "deadlock"
         assert "non-preemptible self-spin" in oops.reason
         assert "cpu0" in oops.reason
@@ -38,7 +38,7 @@ class TestLockdepSameCpu:
         smp.spawn(body, cpu=0, name="prog")
         with pytest.raises(KernelDeadlock, match="AA deadlock"):
             smp.run()
-        assert kernel.log.oopses[-1].category == "deadlock"
+        assert kernel.log.last_oops().category == "deadlock"
 
     def test_serialized_behavior_unchanged(self, leakcheck):
         """Without an SMP run, any contention is still an immediate

@@ -191,7 +191,7 @@ class TestDeadlock:
         with pytest.raises(KernelDeadlock):
             smp.run()
         assert kernel.log.tainted
-        oops = kernel.log.oopses[-1]
+        oops = kernel.log.last_oops()
         assert oops.category == "deadlock"
         assert oops.source == "smp"
         assert "SMP deadlock" in oops.reason

@@ -205,6 +205,20 @@ class TestOneRecordPerFact:
         fam = kernel.telemetry.registry.get("repro_oops_total")
         assert fam.labels("page_fault", "bpf:p").value == 1
 
+    def test_rcu_stall(self):
+        kernel = Kernel()
+        rcu = kernel.rcu
+        rcu.read_lock("bpf:spin")
+        event, __ = one_new_event(kernel, lambda: kernel.clock.advance(
+            rcu.stall_timeout_ns))
+        rcu.read_unlock()
+        assert (event.kind, event.source, event.timestamp_ns) == \
+            ("rcu_stall", "bpf:spin", rcu.stall_timeout_ns)
+        assert rcu.stalls == 1
+        assert kernel.log.dmesg().splitlines()[-1] == (
+            "[   21.000000] rcu: INFO: rcu_sched self-detected stall on "
+            "CPU (bpf:spin stuck for 21s)")
+
     def test_supervisor_decision(self):
         kernel = Kernel()
         supervisor = kernel.enable_recovery()
