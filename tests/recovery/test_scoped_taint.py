@@ -8,6 +8,7 @@ from repro.faultinject.invariants import (
     panic_path_consistent,
 )
 from repro.kernel import Kernel
+from repro.kernel.panic import OopsRecord
 
 
 class TestMarkContained:
@@ -97,6 +98,30 @@ class TestPanicPathConsistency:
         assert panic_path_consistent(kernel)     # tainted + oops agree
         kernel.soft_reset({"s"}, reason="unwound")
         assert panic_path_consistent(kernel)     # clear + contained
+
+    def test_taint_without_record_is_inconsistent(self):
+        """An open oops that record_oops never counted taints the
+        kernel without a record of the oops behind it."""
+        kernel = Kernel()
+        kernel.log.open_oopses.append(
+            OopsRecord(0, 1, "x", "oops", "s"))  # tainted off-path
+        assert kernel.log.tainted
+        assert kernel.log.oops_total == 0
+        assert not panic_path_consistent(kernel)
+        assert any("oops count mismatch" in v
+                   for v in kernel_violations(kernel))
+
+    def test_panic_without_taint_is_inconsistent(self):
+        """Taint is derived, so a panic always taints; the panic does
+        not hide an oops whose own taint was cleared off-path."""
+        kernel = Kernel()
+        kernel.log.record_oops(1, "x", category="oops", source="s")
+        kernel.log.panic(2, "containment failed", source="s")
+        kernel.log.open_oopses.clear()           # oops taint dropped
+        assert kernel.log.tainted                # the panic still taints
+        assert not panic_path_consistent(kernel)
+        assert any("oops count mismatch" in v
+                   for v in kernel_violations(kernel))
 
     def test_oops_dropped_off_path_is_inconsistent(self):
         """Every oops is open or contained: one that leaves the log
