@@ -71,8 +71,10 @@ race:
 
 # Staged-rollout acceptance: a 200-node simulated fleet must take the
 # good release to 100%, halt the planted bad release at its canary
-# wave and roll every node back, and produce bit-identical rollout
-# signatures + telemetry exports across two runs of the same seed.
+# wave and roll every node back, with no node running its verifier or
+# holding a dispatch table other than its release's own, and produce
+# bit-identical rollout signatures + telemetry exports across two runs
+# of the same seed.
 fleet:
 	PYTHONPATH=src python -m repro.scenarios fleet
 

@@ -110,7 +110,7 @@ class SafeLoader:
         # the eBPF verifier reports into — that is the paper's
         # comparison (Figure 5 vs Figure 1)
         self.kernel.telemetry.record_load(
-            "safelang", ext.name, prog_id=loaded.ext_id,
+            "safelang", ext.name, program=loaded, prog_id=loaded.ext_id,
             verify_ns=int(loaded.load_time_s * 1e9),
             dmesg=f"safelang: loaded extension {loaded.ext_id} "
                   f"({ext.name}) sig=ok key={ext.key_id} "

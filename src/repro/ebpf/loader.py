@@ -9,9 +9,10 @@ converted into a kernel oops attributed to the verifier, modeling the
 component.
 
 §3's other half is here too: :meth:`BpfSubsystem.certify` is the
-trusted toolchain's check, and a kernel given a ``trusted_key`` loads
-a program without running its own verifier when a certificate from
-that key vouches for this exact load (see :meth:`load_program`).
+trusted toolchain's check and build, and a kernel given a
+``trusted_key`` loads a program without running its own verifier or
+JIT when a certificate from that key vouches for this exact load and
+the artifacts it is handed (see :meth:`load_program`).
 
 A loaded program lives as long as something refers to it: the
 caller's :class:`LoadedProgram` handle, a hook attachment, the data
@@ -47,8 +48,8 @@ from repro.ebpf.maps import (
     TaskStorageMap,
 )
 from repro.ebpf.predecode import PredecodedProgram, predecode
-from repro.ebpf.progcache import CachedLoad, ProgramLoadCache, \
-    certificate_image, fingerprint
+from repro.ebpf.progcache import CachedLoad, LoadArtifacts, \
+    ProgramLoadCache, certificate_image, fingerprint
 from repro.ebpf.progs import ProgType
 from repro.ebpf.verifier.analyzer import (
     Verifier,
@@ -240,16 +241,20 @@ class BpfSubsystem:
 
     # -- program loading (Figure 1: verifier -> JIT) ----------------------------
 
-    def certify(self, insns: Sequence[Insn], prog_type: ProgType) -> str:
-        """The trusted toolchain's check (§3.1): verify ``insns`` under
-        the default load options, the ones a fleet node deploys with,
-        and return that load's key
-        (:func:`~repro.ebpf.progcache.fingerprint`) for a certificate
-        to sign.  Raises :class:`~repro.errors.VerifierError` on
-        rejection; registers no program and JITs nothing."""
+    def certify(self, insns: Sequence[Insn], prog_type: ProgType,
+                ) -> Tuple[str, LoadArtifacts]:
+        """The trusted toolchain's check and build (§3.1): verify
+        ``insns`` under the default load options, the ones a fleet
+        node deploys with, build the JIT output and dispatch table as
+        a load does, and return that load's key
+        (:func:`~repro.ebpf.progcache.fingerprint`) with the
+        artifacts, for a certificate to sign.  Raises
+        :class:`~repro.errors.VerifierError` on rejection; registers
+        no program and caches nothing."""
         config = self._verifier_config()
         self._verify(insns, prog_type, config)
-        return self._load_key(insns, prog_type, config)
+        artifacts, __, __ = self._build(insns)
+        return self._load_key(insns, prog_type, config), artifacts
 
     def load_program(self, insns: Sequence[Insn], prog_type: ProgType,
                      name: str = "prog", *,
@@ -258,7 +263,9 @@ class BpfSubsystem:
                      limits: Optional[VerifierLimits] = None,
                      log_level: int = 1,
                      unprivileged: bool = False,
-                     certificate: Optional[str] = None) -> LoadedProgram:
+                     certificate: Optional[str] = None,
+                     artifacts: Optional[LoadArtifacts] = None,
+                     ) -> LoadedProgram:
         """Verify and JIT a program.  Raises
         :class:`~repro.errors.VerifierError` on rejection and
         :class:`~repro.errors.KernelOops` if the verifier itself
@@ -269,13 +276,17 @@ class BpfSubsystem:
         default), and otherwise verified under the tighter caps with
         pointer leaks always forbidden.
 
-        ``certificate`` is §3's load by signature.  On a load-cache
-        miss the verifier is skipped only when ``trusted_key`` signed
-        the certificate over this load's own key: the bytes, program
-        type, limits, bug config, JIT flag and map shapes.  Any other
-        certificate, or none, and the kernel verifies the program
-        itself.  JIT and predecode still run here, and the stats of a
-        certified load have zero counters and ``certified`` set.
+        ``certificate`` and ``artifacts`` are §3's load by signature.
+        On a load-cache miss the program runs on the ``artifacts`` it
+        is handed, with no verifier, JIT or predecode here, only when
+        ``trusted_key`` signed the certificate over this load's own key
+        (the bytes, program type, limits, bug config, JIT flag and map
+        shapes) plus the digest of those artifacts, re-hashed here.
+        Any other certificate or artifacts, or none, and the kernel
+        verifies and builds the program itself.  The stats of a
+        certified load have zero counters and ``certified`` set, and
+        its cache entry is this kernel's own, pointing at the shared
+        artifacts.
 
         With recovery enabled the trip is supervised: transient
         injected load errnos are retried with backoff, and a verifier
@@ -290,12 +301,12 @@ class BpfSubsystem:
                     allow_ptr_leaks=allow_ptr_leaks,
                     prune_states=prune_states, limits=limits,
                     log_level=log_level, unprivileged=unprivileged,
-                    certificate=certificate))
+                    certificate=certificate, artifacts=artifacts))
         return self._load_program_raw(
             insns, prog_type, name, allow_ptr_leaks=allow_ptr_leaks,
             prune_states=prune_states, limits=limits,
             log_level=log_level, unprivileged=unprivileged,
-            certificate=certificate)
+            certificate=certificate, artifacts=artifacts)
 
     def _verifier_config(self, allow_ptr_leaks: bool = False,
                          prune_states: bool = True,
@@ -316,6 +327,19 @@ class BpfSubsystem:
         a load certificate binds."""
         return fingerprint(insns, prog_type, config, self._maps.items(),
                            self.use_jit)
+
+    def _build(self, insns: Sequence[Insn],
+               ) -> Tuple[LoadArtifacts, int, int]:
+        """JIT and predecode an accepted program: its artifacts, and
+        the JIT and predecode wall times in ns."""
+        stage_start = time.perf_counter()
+        jit = jit_compile(insns, self.bugs) if self.use_jit else None
+        jit_done = time.perf_counter()
+        decoded = predecode(jit.insns if jit is not None
+                            else list(insns))
+        predecode_ns = int((time.perf_counter() - jit_done) * 1e9)
+        return (LoadArtifacts(jit, decoded),
+                int((jit_done - stage_start) * 1e9), predecode_ns)
 
     def _verify(self, insns: Sequence[Insn], prog_type: ProgType,
                 config: VerifierConfig) -> VerifierStats:
@@ -339,6 +363,7 @@ class BpfSubsystem:
                           log_level: int = 1,
                           unprivileged: bool = False,
                           certificate: Optional[str] = None,
+                          artifacts: Optional[LoadArtifacts] = None,
                           ) -> LoadedProgram:
         faults = self.kernel.faults
         if faults.armed:
@@ -367,7 +392,8 @@ class BpfSubsystem:
         config = self._verifier_config(allow_ptr_leaks, prune_states,
                                        limits, log_level)
         cache = self.load_cache
-        trusted = certificate is not None and self.trusted_key is not None
+        trusted = certificate is not None and artifacts is not None \
+            and self.trusted_key is not None
         cache_key: Optional[str] = None
         cached: Optional[CachedLoad] = None
         if cache is not None or trusted:
@@ -381,40 +407,35 @@ class BpfSubsystem:
             # §3's signature check: the bytes were accepted before
             # under this exact configuration — replay the artifacts
             stats = cached.stats_copy()
-            jit = cached.jit
-            decoded = cached.predecoded
+            built = cached.artifacts
         else:
             if trusted and self.trusted_key.verify(
-                    certificate_image(cache_key), certificate):
+                    certificate_image(cache_key, artifacts.digest()),
+                    certificate):
                 # §3.1's load by signature: the trusted toolchain
-                # verified this exact request, so the verifier does
-                # not run here
+                # verified this exact request and built these exact
+                # artifacts, so neither runs again here
                 stats = VerifierStats(certified=True)
+                built = artifacts
             else:
                 self.verifier_runs += 1
                 stats = self._verify(insns, prog_type, config)
-            stage_start = time.perf_counter()
-            jit = jit_compile(insns, self.bugs) if self.use_jit \
-                else None
-            jit_done = time.perf_counter()
-            decoded = predecode(jit.insns if jit is not None
-                                else list(insns))
-            predecode_ns = int((time.perf_counter() - jit_done) * 1e9)
-            jit_ns = int((jit_done - stage_start) * 1e9)
+                built, jit_ns, predecode_ns = self._build(insns)
             if cache is not None:
-                entry = CachedLoad(stats, jit, decoded)
+                entry = CachedLoad(stats, built, None)
                 cache.insert(cache_key, entry)
         prog = LoadedProgram(
             prog_id=self._next_prog_id, name=name, prog_type=prog_type,
-            insns=list(insns), verifier_stats=stats, jit=jit,
-            predecoded=decoded,
+            insns=list(insns), verifier_stats=stats, jit=built.jit,
+            predecoded=built.predecoded,
             compiled=entry.compiled if entry is not None else None,
             cache_entry=entry)
         self._next_prog_id += 1
         self._progs[prog.prog_id] = prog
         hit = cached is not None
         self.kernel.telemetry.record_load(
-            "ebpf", name, prog_id=prog.prog_id, cache_hit=hit,
+            "ebpf", name, program=prog, prog_id=prog.prog_id,
+            cache_hit=hit,
             verify_ns=0 if hit else int(stats.wall_time_s * 1e9),
             jit_ns=jit_ns, predecode_ns=predecode_ns,
             insns=len(prog.insns),

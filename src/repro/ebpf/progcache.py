@@ -26,9 +26,11 @@ early), and callers probing the verifier (the attack corpus, the
 experiments) expect a fresh log each time.
 
 The same key is what a trusted toolchain's load certificate signs
-(:func:`certificate_image`): because the key covers every input of the
-verdict, a certificate binds one exact load, and a kernel that computes
-any other key for its load cannot use it (see
+(:func:`certificate_image`), beside the digest of the artifacts the
+toolchain built (:meth:`LoadArtifacts.digest`): because the key covers
+every input of the verdict and of the build, a certificate binds one
+exact load and one exact build, and a kernel that computes any other
+key for its load, or is handed other artifacts, cannot use it (see
 :meth:`repro.ebpf.loader.BpfSubsystem.load_program`).
 """
 
@@ -37,21 +39,46 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from collections import OrderedDict
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
+
+
+class LoadArtifacts(NamedTuple):
+    """What an accepted load builds: the JIT output (None without the
+    JIT) and the dispatch table over what runs.  Immutable, so one
+    build can serve every kernel whose load key matches, each by
+    reference."""
+
+    jit: Optional[object]
+    predecoded: object
+
+    def digest(self) -> str:
+        """SHA-256 over the JIT output and the predecoded slots: what
+        a load certificate binds beside the load key, re-hashed by
+        whoever is handed the artifacts."""
+        h = hashlib.sha256()
+        if self.jit is not None:
+            h.update(f"jit={insns_digest(self.jit.insns)}"
+                     f"|miscompiled={self.jit.miscompiled!r}|".encode())
+        h.update(f"slots={self.predecoded.slots!r}".encode())
+        return h.hexdigest()
 
 
 @dataclasses.dataclass
 class CachedLoad:
-    """Artifacts of one accepted load: stats, JIT output, dispatch
-    table, and the exec-compiled frame function once the VM has
-    compiled a program loaded through this entry — the content hash
-    already keys everything compilation depends on, so a reload
-    starts compiled."""
+    """One accepted load on one kernel: its verifier stats, the
+    artifacts it runs (shared with whatever built them), and the
+    exec-compiled frame function once the VM has compiled a program
+    loaded through this entry — the content hash already keys
+    everything compilation depends on, so a reload starts compiled.
+    The compiled artifact stays on this entry: ``artifacts`` may be a
+    release's, which nothing on a node writes into."""
+
+    # by hand: ``dataclass(slots=True)`` needs Python 3.10
+    __slots__ = ("stats", "artifacts", "compiled")
 
     stats: object
-    jit: Optional[object]
-    predecoded: Optional[object]
-    compiled: Optional[object] = None
+    artifacts: LoadArtifacts
+    compiled: Optional[object]
 
     def stats_copy(self) -> object:
         """A per-load copy of the verifier stats, marked as a cache
@@ -124,10 +151,11 @@ def insns_digest(insns: Iterable[object]) -> str:
     return h.hexdigest()
 
 
-def certificate_image(load_key: str) -> bytes:
-    """What a load certificate signs: a load key under its own domain
-    tag, so a certificate never verifies as any other signature."""
-    return b"load:" + load_key.encode()
+def certificate_image(load_key: str, artifact_digest: str) -> bytes:
+    """What a load certificate signs: a load key and the digest of the
+    artifacts built for it, under their own domain tag, so a
+    certificate never verifies as any other signature."""
+    return f"load:{load_key}:{artifact_digest}".encode()
 
 
 def fingerprint(insns: Iterable[object], prog_type: object,

@@ -77,13 +77,15 @@ class FleetNode:
     def deploy(self, release: object) -> DeployResult:
         """Check, load and attach one release (§3.1's load-time check).
 
-        The agent re-checks the content hash and signature itself, so
-        a registry compromise upstream, or a certificate altered in
-        flight, is refused as ``signature`` before anything loads.  The
-        kernel then loads by signature: the release's load certificate
-        stands in for the verifier when it vouches for this node's own
-        load key, and a node whose image differs verifies the program
-        itself."""
+        The agent re-checks the content hash, the artifact digest and
+        the signature itself, so a registry compromise upstream, or a
+        certificate or artifacts altered in flight, is refused as
+        ``signature`` before anything loads.  The kernel then loads by
+        signature: when the release's load certificate vouches for
+        this node's own load key and the artifacts it is handed, the
+        node runs the release's JIT output and dispatch table by
+        reference, with no verifier or build of its own; a node whose
+        image differs verifies and builds the program itself."""
         if self.kernel.log.panicked:
             return DeployResult(self.node_id, release.release_id,
                                 ok=False, error="dead",
@@ -97,7 +99,8 @@ class FleetNode:
         try:
             prog = self.bpf.load_program(
                 list(release.insns), release.prog_type,
-                name=release.name, certificate=release.certificate)
+                name=release.name, certificate=release.certificate,
+                artifacts=release.artifacts)
         except ReproError as exc:
             self.deploy_failed = True
             return DeployResult(self.node_id, release.release_id,

@@ -21,7 +21,10 @@ exactly what makes the canary signal differential.
 
 The registry's toolchain is booted from the same spec
 (:func:`boot_toolchain`), so each release's load certificate binds the
-load key every node computes: no node runs its verifier on a release.
+load key every node computes, and the JIT output and dispatch table
+the toolchain built are the ones every node would build: no node runs
+its verifier, JIT or predecode on a release, and all of them run the
+release's one copy of its tables.
 """
 
 from __future__ import annotations
@@ -81,9 +84,10 @@ def default_fleet_spec(seed: int) -> KernelSpec:
 
 
 def boot_toolchain(spec: KernelSpec) -> BpfSubsystem:
-    """The trusted toolchain's verifier for a fleet of ``spec`` nodes:
-    a subsystem booted from the node image exactly as a node boots
-    (it certifies releases; it trusts no certificate itself)."""
+    """The trusted toolchain's verifier and build for a fleet of
+    ``spec`` nodes: a subsystem booted from the node image exactly as
+    a node boots (it certifies releases and builds their artifacts; it
+    trusts no certificate itself)."""
     return BpfSubsystem.from_spec(Kernel.from_spec(spec))
 
 

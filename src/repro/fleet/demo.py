@@ -9,14 +9,17 @@ rollouts *and* the export bit-identical.  The acceptance
 configuration is :data:`NODES` nodes.
 
 Every release is certified for the fleet's own node image, so no node
-may run its verifier during either rollout.  Each release row's
-``detail`` carries the count of node-side verifier runs, and any run
-is a violation.
+may run its verifier during either rollout, and every node runs its
+release's own dispatch table, the one the toolchain built.  Each
+release row's ``detail`` carries the count of node-side verifier runs
+and the number of distinct dispatch tables the nodes hold once the
+rollout ends; any verifier run, and any node holding a table of its
+own, is a violation.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.faultinject.scenario import CaseResult, Report, json_digest
 from repro.fleet.adapters.sim import FleetScenario, build_scenario
@@ -33,6 +36,31 @@ def node_verifier_runs(scenario: FleetScenario) -> int:
     return sum(node.bpf.verifier_runs for node in scenario.fleet.nodes())
 
 
+def held_tables(scenario: FleetScenario) -> Tuple[int, int]:
+    """The distinct dispatch tables the fleet's running programs hold,
+    and the number of nodes whose table is not their release's own
+    (a program a node built for itself).  A node's running program is
+    its newest live one: a deploy loads it last, and the program it
+    replaced is freed."""
+    tables = set()
+    copies = 0
+    for node in scenario.fleet.nodes():
+        if node.current is None:
+            continue
+        table = node.bpf.all_progs()[-1].predecoded
+        tables.add(id(table))
+        if table is not node.current.artifacts.predecoded:
+            copies += 1
+    return len(tables), copies
+
+
+def table_failures(copies: int) -> List[str]:
+    """The violation for ``copies`` nodes holding a table of their
+    own, if any."""
+    return [f"{copies} nodes hold a dispatch table of their own, not "
+            "their release's"] if copies else []
+
+
 def run_fleet(seed: int = 7) -> Report:
     """One full scenario pass: good rollout, bad rollout, export."""
     scenario = build_scenario(size=NODES, seed=seed)
@@ -40,8 +68,10 @@ def run_fleet(seed: int = 7) -> Report:
     good = scenario.orchestrator.rollout(
         scenario.good.release_id, seed=seed)
     after_good = node_verifier_runs(scenario)
+    good_tables, good_copies = held_tables(scenario)
     bad = scenario.orchestrator.rollout(
         scenario.bad.release_id, seed=seed)
+    bad_tables, bad_copies = held_tables(scenario)
     good_runs = after_good - before
     bad_runs = node_verifier_runs(scenario) - after_good
     variant = f"{NODES}-nodes"
@@ -58,6 +88,7 @@ def run_fleet(seed: int = 7) -> Report:
         good_failures.append(
             f"{good_runs} node-side verifier runs on a certified "
             "release")
+    good_failures += table_failures(good_copies)
 
     bad_failures: List[str] = []
     if bad.outcome != "rolled-back":
@@ -82,6 +113,7 @@ def run_fleet(seed: int = 7) -> Report:
         bad_failures.append(
             f"{bad_runs} node-side verifier runs on a certified "
             "release")
+    bad_failures += table_failures(bad_copies)
 
     snapshot = scenario.telemetry.snapshot()
     export_failures = ([] if snapshot["waves"] else
@@ -91,12 +123,14 @@ def run_fleet(seed: int = 7) -> Report:
                    signature=good.signature(),
                    violations=good_failures,
                    detail=dict(good.summary(),
-                               node_verifier_runs=good_runs)),
+                               node_verifier_runs=good_runs,
+                               predecoded_tables=good_tables)),
         CaseResult("bad", variant, bad.outcome,
                    signature=bad.signature(),
                    violations=bad_failures,
                    detail=dict(bad.summary(),
-                               node_verifier_runs=bad_runs)),
+                               node_verifier_runs=bad_runs,
+                               predecoded_tables=bad_tables)),
         CaseResult("telemetry", variant, "exported",
                    signature=json_digest(snapshot),
                    violations=export_failures,

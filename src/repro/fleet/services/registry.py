@@ -12,21 +12,25 @@ version and HMAC-signed by the registry's
 verify — a tampered image or a signature lifted from another version
 both fail closed.
 
-``publish`` is the toolchain's check.  It verifies the bytecode once,
-on a subsystem booted from the fleet's node image, and signs a load
-certificate over the load key the toolchain verified under.  A node
-whose kernel trusts the registry key and computes that same key for
-its own load skips its verifier; any node whose verdict inputs differ
-computes another key and verifies the release itself.
+``publish`` is the toolchain's check and build.  It verifies the
+bytecode once, on a subsystem booted from the fleet's node image,
+builds its JIT output and dispatch table once, keeps them on the
+release with their digest, and signs a load certificate over the load
+key the toolchain verified under plus that digest.  A node whose
+kernel trusts the registry key and computes that same key for its own
+load runs the release's artifacts by reference, with no verifier or
+JIT of its own; any node whose verdict inputs differ computes another
+key and verifies and builds the release itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.signing import SigningKey
-from repro.ebpf.progcache import certificate_image, insns_digest
+from repro.ebpf.progcache import LoadArtifacts, certificate_image, \
+    insns_digest
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,14 @@ class Release:
     #: SHA-256 over the instruction fields (see
     #: :func:`~repro.ebpf.progcache.insns_digest`)
     content_hash: str
-    #: HMAC-SHA256 over the load key the toolchain verified under
+    #: the toolchain's JIT output and dispatch table, immutable and
+    #: shared by every node that loads them
+    artifacts: LoadArtifacts = field(compare=False, repr=False)
+    #: SHA-256 over ``artifacts``
+    #: (:meth:`~repro.ebpf.progcache.LoadArtifacts.digest`)
+    artifact_digest: str
+    #: HMAC-SHA256 over the load key the toolchain verified under plus
+    #: ``artifact_digest``
     #: (:func:`~repro.ebpf.progcache.certificate_image`)
     certificate: str
     #: id of the key that signed this release
@@ -60,18 +71,22 @@ class Release:
         return f"{self.name}@{self.version}"
 
     def image_bytes(self) -> bytes:
-        """The canonical signed image: name, version, content hash and
-        load certificate — binding the signature to *this* version of
-        *this* extension, not just to the bytes."""
+        """The canonical signed image: name, version, content hash,
+        artifact digest and load certificate — binding the signature
+        to *this* version of *this* extension, not just to the
+        bytes."""
         return (f"{self.name}@{self.version}:"
                 f"{getattr(self.prog_type, 'value', self.prog_type)}:"
-                f"{self.content_hash}:{self.certificate}").encode()
+                f"{self.content_hash}:{self.artifact_digest}:"
+                f"{self.certificate}").encode()
 
     def verify(self, key: SigningKey) -> bool:
-        """True when the content hash matches the bytecode (a re-hashed
-        image catches bytecode swapped under a valid signature) *and*
-        the signature checks out against ``key``."""
-        if insns_digest(self.insns) != self.content_hash:
+        """True when the content hash matches the bytecode and the
+        artifact digest the artifacts (re-hashed, so bytecode or
+        tables swapped under a valid signature are caught) *and* the
+        signature checks out against ``key``."""
+        if insns_digest(self.insns) != self.content_hash \
+                or self.artifacts.digest() != self.artifact_digest:
             return False
         return key.verify(self.image_bytes(), self.signature)
 
@@ -83,6 +98,7 @@ class Release:
                                  self.prog_type),
             "insns": len(self.insns),
             "content_hash": self.content_hash,
+            "artifact_digest": self.artifact_digest,
             "key_id": self.key_id,
             "signature": self.signature,
             "certificate": self.certificate,
@@ -92,9 +108,9 @@ class Release:
 class ReleaseRegistry:
     """The trusted toolchain's release store.
 
-    ``publish`` verifies, certifies and signs; ``verify`` is what the
-    orchestrator runs against the registry key before it wastes a
-    rollout on a forgery (each node runs the same
+    ``publish`` verifies, builds, certifies and signs; ``verify`` is
+    what the orchestrator runs against the registry key before it
+    wastes a rollout on a forgery (each node runs the same
     :meth:`Release.verify` against the key it trusts).  Deterministic:
     the same name, version and bytecode always produce the same signed
     release.
@@ -104,7 +120,8 @@ class ReleaseRegistry:
                  key: Optional[SigningKey] = None) -> None:
         """Create a registry over ``toolchain``, an eBPF subsystem
         booted from the fleet's node image (anything with
-        ``certify(insns, prog_type) -> load key``); ``key`` defaults to
+        ``certify(insns, prog_type) -> (load key, artifacts)``); ``key``
+        defaults to
         the deterministic fleet toolchain key."""
         self.toolchain = toolchain
         self.key = key or SigningKey.generate("fleet-toolchain")
@@ -113,7 +130,8 @@ class ReleaseRegistry:
     def publish(self, name: str, version: str,
                 insns: Sequence[object],
                 prog_type: object) -> Release:
-        """Verify, certify, sign and store one release; returns it.
+        """Verify, build, certify, sign and store one release;
+        returns it.
 
         A program the toolchain rejects raises its
         :class:`~repro.errors.VerifierError` and nothing is stored.
@@ -129,11 +147,14 @@ class ReleaseRegistry:
                     f"release {existing.release_id} already published "
                     "with different content")
             return existing
-        load_key = self.toolchain.certify(insns, prog_type)
+        load_key, artifacts = self.toolchain.certify(insns, prog_type)
+        digest = artifacts.digest()
         release = Release(
             name=name, version=version, prog_type=prog_type,
             insns=tuple(insns), content_hash=content_hash,
-            certificate=self.key.sign(certificate_image(load_key)),
+            artifacts=artifacts, artifact_digest=digest,
+            certificate=self.key.sign(
+                certificate_image(load_key, digest)),
             key_id=self.key.key_id, signature="")
         release = replace(
             release, signature=self.key.sign(release.image_bytes()))

@@ -45,6 +45,12 @@ BLOCKED_PORT = 23
 #: virtual inter-arrival gap at line rate (ns)
 LINE_GAP_NS = 120
 
+#: distinct source ids (the header's src_id byte)
+SOURCES = 8
+
+#: the heavy_hitter profile's elephant source id
+ELEPHANT = 3
+
 #: bytes of payload after the header
 PAYLOAD_BYTES = 29
 
@@ -53,16 +59,13 @@ class LoadGen:
     """A seeded packet source driving one NIC on the virtual clock."""
 
     def __init__(self, kernel: Kernel, profile: str = "uniform", *,
-                 seed: int = 0, nsources: int = 8,
-                 gap_ns: int = LINE_GAP_NS) -> None:
+                 seed: int = 0) -> None:
         if profile not in PROFILES:
             raise ValueError(f"unknown profile {profile!r}; "
                              f"expected one of {PROFILES}")
         self.kernel = kernel
         self.profile = profile
         self.seed = seed
-        self.nsources = nsources
-        self.gap_ns = gap_ns
         self._rng = Random(seed)
         #: a small pool of payload bodies, reused round-robin so a
         #: million-packet run does not build a million byte strings
@@ -80,16 +83,16 @@ class LoadGen:
     def _packet_uniform(self, rng: Random) -> Tuple[bytes, int]:
         port = rng.choice(PORTS) if rng.random() >= 0.125 \
             else BLOCKED_PORT
-        src = rng.randrange(self.nsources)
+        src = rng.randrange(SOURCES)
         body = self._bodies[self.generated % len(self._bodies)]
-        return HEADER.pack(port, src) + body, self.gap_ns
+        return HEADER.pack(port, src) + body, LINE_GAP_NS
 
     def _packet_bursty(self, rng: Random) -> Tuple[bytes, int]:
         if self._burst_left <= 0:
             self._burst_left = rng.randrange(8, 65)
-            gap = self.gap_ns * rng.randrange(50, 400)
+            gap = LINE_GAP_NS * rng.randrange(50, 400)
         else:
-            gap = self.gap_ns // 4 or 1
+            gap = LINE_GAP_NS // 4
         self._burst_left -= 1
         packet, __ = self._packet_uniform(rng)
         return packet, gap
@@ -103,26 +106,26 @@ class LoadGen:
         elif shape < 0.25:
             # oversize: the NIC must refuse it at the MTU
             packet = HEADER.pack(BLOCKED_PORT,
-                                 rng.randrange(self.nsources)) \
+                                 rng.randrange(SOURCES)) \
                 + bytes(512)
         elif shape < 0.55:
             # well-formed but aimed at the blocked port
-            src = rng.randrange(self.nsources)
+            src = rng.randrange(SOURCES)
             body = self._bodies[self.generated % len(self._bodies)]
             packet = HEADER.pack(BLOCKED_PORT, src) + body
         else:
             packet, __ = self._packet_uniform(rng)
-        return packet, self.gap_ns
+        return packet, LINE_GAP_NS
 
     def _packet_heavy_hitter(self, rng: Random) -> Tuple[bytes, int]:
         if rng.random() < 0.7:
-            src = 3 % self.nsources     # the elephant
+            src = ELEPHANT
         else:
-            src = rng.randrange(self.nsources)
+            src = rng.randrange(SOURCES)
         port = rng.choice(PORTS) if rng.random() >= 0.125 \
             else BLOCKED_PORT
         body = self._bodies[self.generated % len(self._bodies)]
-        return HEADER.pack(port, src) + body, self.gap_ns
+        return HEADER.pack(port, src) + body, LINE_GAP_NS
 
     def packets(self, count: int) -> Iterator[bytes]:
         """Yield ``count`` packets, advancing the virtual clock by

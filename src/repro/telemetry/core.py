@@ -22,6 +22,7 @@ unconditionally.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional
 
 from repro.telemetry.metrics import MetricsRegistry
@@ -157,6 +158,7 @@ class Telemetry:
         # population gauges
         self._maps_live = reg.gauge(
             "repro_maps_live", "Live maps by type", ("type",))
+        #: live, not cumulative: a freed program leaves the count
         self._progs_loaded = reg.gauge(
             "repro_progs_loaded", "Loaded programs", ("framework",))
 
@@ -206,6 +208,7 @@ class Telemetry:
     # -- load pipeline (always on) ---------------------------------------------
 
     def record_load(self, framework: str, name: str, *,
+                    program: object,
                     prog_id: int = 0, cache_hit: bool = False,
                     verify_ns: int = 0, jit_ns: int = 0,
                     predecode_ns: int = 0, insns: int = 0,
@@ -214,7 +217,8 @@ class Telemetry:
                     **detail: object) -> None:
         """Record one trip through a framework's loading pipeline: the
         kernel's one ``load`` event, with the loader's log line(s) and
-        own fields."""
+        own fields.  ``program`` is what the load returned; it counts
+        in ``repro_progs_loaded`` until it is freed."""
         self.prog(framework, name, prog_id).record_load(
             cache_hit=cache_hit, verify_ns=verify_ns, jit_ns=jit_ns,
             predecode_ns=predecode_ns, insns_processed=insns_processed,
@@ -230,7 +234,9 @@ class Telemetry:
             self._verifier_work.labels("states_explored").inc(
                 states_explored)
             self._verify_hist.labels().observe(insns_processed)
-        self._progs_loaded.labels(framework).inc()
+        live = self._progs_loaded.labels(framework)
+        live.inc()
+        weakref.finalize(program, live.dec)
         self._events.publish(
             "load", source=program_tag(framework, name), dmesg=dmesg,
             prog_id=prog_id, cache_hit=cache_hit, insns=insns,

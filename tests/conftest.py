@@ -11,11 +11,14 @@ Tests that *deliberately* leave a kernel unbalanced (attack replays,
 teardown-order tests) opt out with ``@pytest.mark.dirty_kernel``.
 
 ``verify_calls`` counts verifier runs, for the tests that check a
-load was certified rather than verified.
+load was certified rather than verified, and ``build_calls`` counts
+the loader's JIT and predecode calls, for the tests that check a load
+ran on artifacts built elsewhere.
 """
 
 import pytest
 
+from repro.ebpf import loader
 from repro.ebpf.verifier.analyzer import Verifier
 from repro.faultinject.invariants import kernel_violations
 
@@ -85,4 +88,23 @@ def verify_calls(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(Verifier, "verify", counted)
+    return calls
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """Every ``jit_compile`` and ``predecode`` call the loader makes
+    (a toolchain's ``certify`` included) during the test, by name, in
+    order."""
+    calls = []
+
+    def counted(name, original):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    for name in ("jit_compile", "predecode"):
+        monkeypatch.setattr(loader, name,
+                            counted(name, getattr(loader, name)))
     return calls

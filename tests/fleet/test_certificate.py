@@ -1,6 +1,7 @@
 """Verify once, load by signature: the registry's toolchain verifies
-each release once, and nodes of the fleet's image load it by its
-certificate instead of running their own verifier."""
+and builds each release once, and nodes of the fleet's image load it
+by its certificate, running the release's own JIT output and dispatch
+table instead of running their own verifier and build."""
 
 import dataclasses
 
@@ -14,7 +15,7 @@ from repro.fleet import ReleaseRegistry
 from repro.fleet.adapters.node import FleetNode
 from repro.fleet.adapters.sim import EXTENSION, build_scenario, \
     default_fleet_spec
-from repro.fleet.demo import node_verifier_runs
+from repro.fleet.demo import held_tables, node_verifier_runs
 from repro.net.programs import port_filter_prog
 
 FLEET = 40
@@ -70,6 +71,82 @@ class TestVerifyOnce:
             scenario.registry.get(f"{EXTENSION}@9.9.9")
 
 
+class TestBuildOnce:
+    def test_good_rollout_builds_nothing_on_a_node(self, scenario,
+                                                   build_calls):
+        report = scenario.orchestrator.rollout(
+            scenario.good.release_id, seed=SEED)
+        assert report.converged_nodes == FLEET
+        assert build_calls == []
+
+    def test_bad_rollout_and_rollback_build_nothing_on_a_node(
+            self, scenario, build_calls):
+        report = scenario.orchestrator.rollout(
+            scenario.bad.release_id, seed=SEED)
+        assert report.outcome == "rolled-back"
+        assert build_calls == []
+
+    def test_publish_builds_once(self, scenario, build_calls):
+        scenario.registry.publish(
+            EXTENSION, "3.0.0", port_filter_prog(8080), ProgType.XDP)
+        assert build_calls == ["jit_compile", "predecode"]
+        scenario.registry.publish(
+            EXTENSION, "3.0.0", port_filter_prog(8080), ProgType.XDP)
+        assert build_calls == ["jit_compile", "predecode"]
+
+    def test_every_node_runs_its_release_table(self, scenario):
+        def running(release):
+            nodes = [node for node in scenario.fleet.nodes()
+                     if node.current is release]
+            assert len(nodes) == FLEET
+            return [node.bpf.all_progs()[-1] for node in nodes]
+
+        for prog in running(scenario.baseline):
+            assert prog.predecoded is \
+                scenario.baseline.artifacts.predecoded
+        scenario.orchestrator.rollout(scenario.good.release_id,
+                                      seed=SEED)
+        for prog in running(scenario.good):
+            assert prog.predecoded is scenario.good.artifacts.predecoded
+            assert prog.jit is scenario.good.artifacts.jit
+        assert held_tables(scenario) == (1, 0)
+        scenario.orchestrator.rollout(scenario.bad.release_id,
+                                      seed=SEED)
+        for prog in running(scenario.good):
+            assert prog.predecoded is scenario.good.artifacts.predecoded
+        assert held_tables(scenario) == (1, 0)
+
+    def test_a_node_of_another_image_holds_its_own_table(self,
+                                                         scenario):
+        spec = dataclasses.replace(default_fleet_spec(SEED),
+                                   use_jit=False)
+        node = FleetNode("odd-000", spec, scenario.registry.key)
+        scenario.fleet._nodes[node.node_id] = node
+        assert node.deploy(scenario.baseline).ok
+        assert held_tables(scenario) == (2, 1)
+
+    def test_compiling_leaves_the_release_uncompiled(self, scenario):
+        """The VM's compiled artifact goes on the node's own cache
+        entry: another node loading the release starts on ``fast``."""
+        release = scenario.good
+        digest = release.artifacts.digest()
+        hot, cold = scenario.fleet.nodes()[:2]
+        assert hot.deploy(release).ok
+        hot.soak(65)
+        prog = hot.bpf.all_progs()[-1]
+        assert hot.bpf.vm.compiles == 1
+        assert prog.compiled is not None
+        assert prog.cache_entry.compiled is prog.compiled
+        assert prog.cache_entry.artifacts is release.artifacts
+        assert release.artifacts.digest() == digest
+        assert scenario.registry.verify(release)
+        assert cold.deploy(release).ok
+        fresh = cold.bpf.all_progs()[-1]
+        assert fresh.predecoded is release.artifacts.predecoded
+        assert fresh.compiled is None
+        assert cold.bpf.vm.tier(fresh) == "fast"
+
+
 class TestCertificateTampering:
     def test_altered_certificate_refused_as_signature(self, scenario):
         forged = dataclasses.replace(
@@ -78,6 +155,22 @@ class TestCertificateTampering:
         result = node.deploy(forged)
         assert not result.ok
         assert result.error == "signature"
+        assert node.current.release_id == scenario.baseline.release_id
+
+    @pytest.mark.parametrize("forge", [
+        lambda s: dataclasses.replace(s.good, artifacts=s.bad.artifacts),
+        lambda s: dataclasses.replace(s.good, artifact_digest="0" * 64),
+    ], ids=["swapped-tables", "altered-digest"])
+    def test_altered_artifacts_refused_before_any_load(self, scenario,
+                                                       forge):
+        node = scenario.fleet.nodes()[0]
+        cache = node.bpf.load_cache
+        lookups = (cache.hits, cache.misses)
+        loads = node.kernel.events.emitted.get("load", 0)
+        result = node.deploy(forge(scenario))
+        assert (result.ok, result.error) == (False, "signature")
+        assert (cache.hits, cache.misses) == lookups
+        assert node.kernel.events.emitted.get("load", 0) == loads
         assert node.current.release_id == scenario.baseline.release_id
 
     def test_altered_certificate_rejected_by_orchestrator(self,

@@ -181,12 +181,13 @@ class TestOneRecordPerFact:
         key = SigningKey.generate("test-toolchain")
         insns = helper_prog(ids.BPF_FUNC_ktime_get_ns)
         toolchain = BpfSubsystem(Kernel())
-        cert = key.sign(certificate_image(
-            toolchain.certify(insns, ProgType.KPROBE)))
+        load_key, artifacts = toolchain.certify(insns, ProgType.KPROBE)
+        cert = key.sign(certificate_image(load_key, artifacts.digest()))
         kernel = Kernel()
         bpf = BpfSubsystem(kernel, trusted_key=key)
         event, prog = one_new_event(kernel, lambda: bpf.load_program(
-            insns, ProgType.KPROBE, "p", certificate=cert))
+            insns, ProgType.KPROBE, "p", certificate=cert,
+            artifacts=artifacts))
         assert prog.verifier_stats.certified
         assert event.get("certified") is True
         assert event.lines() == (

@@ -139,6 +139,48 @@ class TestLoadPipelineStats:
         assert events[0].data["cache_hit"] is False
 
 
+def distinct_prog(n):
+    """Program ``n`` of a family of distinct programs."""
+    return Asm().mov64_imm(R0, n).exit_().program()
+
+
+class TestLiveProgramGauge:
+    """``repro_progs_loaded`` counts live programs, not loads."""
+
+    def live(self, kernel, framework):
+        return kernel.telemetry.registry.get(
+            "repro_progs_loaded").labels(framework).value
+
+    def test_held_programs_count(self, kernel, bpf):
+        held = [bpf.load_program(distinct_prog(n), ProgType.KPROBE,
+                                 f"p{n}") for n in range(50)]
+        assert self.live(kernel, "ebpf") == 50 == len(bpf.all_progs())
+        assert len(held) == 50
+
+    def test_dropped_programs_leave_the_count(self, kernel, bpf):
+        for n in range(50):
+            bpf.load_program(distinct_prog(n), ProgType.KPROBE, f"p{n}")
+        assert bpf.all_progs() == []
+        assert self.live(kernel, "ebpf") == 0
+        loads = kernel.telemetry.registry.get("repro_loads_total")
+        assert loads.labels("ebpf", "miss").value == 50
+
+    def test_a_freed_program_leaves_the_count(self, kernel, bpf):
+        kept = bpf.load_program(alu_prog(), ProgType.KPROBE, "a")
+        dropped = bpf.load_program(alu_prog(), ProgType.KPROBE, "b")
+        assert self.live(kernel, "ebpf") == 2
+        del dropped
+        assert self.live(kernel, "ebpf") == 1
+        assert bpf.all_progs() == [kept]
+
+    def test_safelang_extensions_count_while_held(self, kernel, fw):
+        held = fw.install(
+            "fn prog(ctx: XdpCtx) -> i64 { return 1; }", "ext")
+        assert self.live(kernel, "safelang") == 1
+        del held
+        assert self.live(kernel, "safelang") == 0
+
+
 class TestSafelangStats:
     def test_run_stats_when_enabled(self, kernel, fw):
         kernel.telemetry.enable()

@@ -52,6 +52,10 @@ def test_fleet_rollout_signatures_are_pinned(capsys):
         "2a56febd478a78d250dfa3d823e84de3a19fe6f28b8b3b1f9e0a49751c020a26")
     assert signatures["bad"] == (
         "3042ce180f57f512a5a967280db78cc365ef5bb31a35faa82dc267f5d63f83f3")
+    # every node runs the one table the toolchain built for its release
+    assert {r["case"]: r["detail"].get("predecoded_tables")
+            for r in doc["results"]} == \
+        {"good": 1, "bad": 1, "telemetry": None}
 
 
 def test_fleet_chaos_signature_is_pinned(capsys):
