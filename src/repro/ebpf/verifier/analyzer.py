@@ -633,15 +633,23 @@ class Verifier:
             # the kernel rejects immediate-zero divisors at load time;
             # a zero in a register divides to 0 at run time instead
             self._reject(f"insn {insn_idx}: division by zero")
+        if not is64:
+            # a 32-bit op reads the 32-bit subregisters: for rsh, arsh,
+            # div and mod the upper bits would change the low result
+            self._truncate32(dst, signed=op_name == "arsh")
+            self._truncate32(src)
         bounds.SCALAR_OPS[op_name](dst, src)
         if not is64:
             self._truncate32(dst)
 
-    def _truncate32(self, reg: RegState) -> None:
-        """ALU32 result: zero-extend the low 32 bits."""
+    def _truncate32(self, reg: RegState, signed: bool = False) -> None:
+        """Keep the low 32 bits, zero-extended (an ALU32 result or
+        operand) or, with ``signed``, sign-extended from bit 31 (the
+        destination operand of arsh32)."""
         if reg.type != RegType.SCALAR:
             reg.mark_unknown()
-        reg.var_off = reg.var_off.cast(4)
+        reg.var_off = reg.var_off.scast(4) if signed \
+            else reg.var_off.cast(4)
         reg.smin, reg.smax = S64_MIN, S64_MAX
         reg.umin, reg.umax = 0, U64_MAX
         reg.settle_bounds()

@@ -227,6 +227,20 @@ class Tnum:
         keep = (1 << (size * 8)) - 1
         return _tnum(self.value & keep, self.mask & keep)
 
+    def scast(self, size: int) -> "Tnum":
+        """Truncate to ``size`` bytes and sign-extend (kernel
+        ``tnum_scast``).  Value and mask are extended separately, so
+        an unknown sign bit leaves every upper bit unknown."""
+        if size == 8:
+            return self
+        keep = (1 << (size * 8)) - 1
+        sign = 1 << (size * 8 - 1)
+
+        def extend(x: int) -> int:
+            x &= keep
+            return x | (U64 ^ keep) if x & sign else x
+        return _tnum(extend(self.value), extend(self.mask))
+
     # -- bounds helpers ----------------------------------------------------------
 
     @property

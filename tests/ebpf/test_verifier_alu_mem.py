@@ -38,6 +38,23 @@ class TestScalarAlu:
                    .exit_().program())
         expect_reject(load, program, "invalid shift")
 
+    def test_alu32_rsh_reads_the_subregister(self, patched_bpf):
+        # every engine shifts r0's low 32 bits (0), not the whole
+        # 0x1_0000_0000 (0x8000_0000): r0 ends at -0x8000_0008, so
+        # the store lands 2 GiB below fp, not at fp-8
+        program = (Asm().ld_imm64(R0, 1 << 32)
+                   .alu32_imm("rsh", R0, 1)
+                   .ld_imm64(R2, 0x80000008)
+                   .alu64_reg("sub", R0, R2)
+                   .mov64_reg(R1, R10)
+                   .alu64_reg("add", R1, R0)
+                   .st_imm(8, R1, 0, 0x41)
+                   .mov64_imm(R0, 0).exit_().program())
+        expect_reject(
+            lambda insns: patched_bpf.load_program(
+                insns, ProgType.KPROBE, "test"),
+            program, "invalid stack access off=-2147483656 size=8")
+
     def test_shift_63_ok(self, load):
         load(Asm().mov64_imm(R0, 1).alu64_imm("lsh", R0, 63)
              .mov64_imm(R0, 0).exit_().program())
