@@ -73,6 +73,18 @@ def _ranges_disjoint(dst: RegState, src: RegState) -> bool:
     return dst.umin > src.umax or dst.umax < src.umin
 
 
+def _pinned(reg: RegState) -> bool:
+    """True for a scalar whose tnum and all four bounds hold one value.
+    A constant tnum alone is not enough: on a path no run takes (the
+    fall side of a jset that a constant always takes) refinement can
+    leave a constant tnum with empty bounds, which the generic
+    transfer carries on."""
+    value = reg.var_off.value
+    return (reg.type == RegType.SCALAR and reg.var_off.mask == 0
+            and reg.umin == value == reg.umax
+            and reg.smin == reg.smax == u64_to_s64(value))
+
+
 #: jump op -> (always taken?, never taken?) tests on two scalars
 _BRANCH_DECIDERS = {
     "jeq": (_consts_equal, _ranges_disjoint),
@@ -575,6 +587,19 @@ class Verifier:
 
     def _do_alu(self, state: VerifierState, insn: Insn,
                 insn_idx: int) -> None:
+        """``adjust_reg_min_max_vals``: one ALU instruction.
+
+        The checks come first: the register write and reads, pointer
+        arithmetic, a shift amount out of range and an immediate zero
+        divisor.  A 64-bit op in :data:`bounds.CONST_FOLDS` whose
+        destination and source (an immediate, or a register holding a
+        constant scalar) are both known constants is then folded on
+        plain integers: the generic transfer would return exactly that
+        constant, after building a state for the immediate and
+        settling bounds three times over.  Every other op runs the
+        generic transfer in :data:`bounds.SCALAR_OPS`; a 32-bit op
+        reads the 32-bit subregisters and zero-extends its result.
+        """
         is64 = insn.insn_class == isa.BPF_ALU64
         op = insn.opcode & isa.ALU_OP_MASK
         op_name = isa.ALU_OP_NAMES.get(op)
@@ -592,14 +617,18 @@ class Verifier:
                 self._truncate32(dst)
             return
 
-        # source operand as a RegState
+        # the source operand: a register's state, read but not copied,
+        # or the immediate (src None), sign-extended to 64 bits
         if insn.opcode & isa.BPF_X:
-            src = self._check_reg_read(state, insn.src, insn_idx).copy()
+            src = self._check_reg_read(state, insn.src, insn_idx)
+            src_value = src.var_off.value if src.is_const else None
         else:
-            src = RegState.const_scalar(insn.imm)
+            src = None
+            src_value = insn.imm & U64_MAX
 
         if op == isa.BPF_MOV:
-            new = src  # a copy, or a fresh constant
+            new = src.copy() if src is not None \
+                else RegState.const_scalar(insn.imm)
             if not is64:
                 if new.is_pointer:
                     new = RegState.unknown_scalar()
@@ -610,29 +639,36 @@ class Verifier:
         dst = self._check_reg_read(state, insn.dst, insn_idx)
 
         # pointer arithmetic?
-        if dst.is_pointer or src.is_pointer:
+        if dst.is_pointer or (src is not None and src.is_pointer):
+            if src is None:
+                src = RegState.const_scalar(insn.imm)
             self._do_ptr_alu(state, insn, insn_idx, op_name, dst, src,
                              is64)
             return
 
         # scalar op
         if op_name in ("lsh", "rsh", "arsh"):
-            width = 64 if is64 else 32
-            if src.is_const:
-                if src.const_value >= width:
-                    self._reject(
-                        f"insn {insn_idx}: invalid shift "
-                        f"{src.const_value}")
-            else:
+            if src_value is None:
                 dst.mark_unknown()
                 if not is64:
                     self._truncate32(dst)
                 return
+            if src_value >= (64 if is64 else 32):
+                self._reject(
+                    f"insn {insn_idx}: invalid shift {src_value}")
         if op_name in ("div", "mod") \
                 and not (insn.opcode & isa.BPF_X) and insn.imm == 0:
             # the kernel rejects immediate-zero divisors at load time;
             # a zero in a register divides to 0 at run time instead
             self._reject(f"insn {insn_idx}: division by zero")
+        fold = bounds.CONST_FOLDS.get(op_name) if is64 else None
+        if fold is not None and _pinned(dst) \
+                and (src is None or _pinned(src)):
+            dst.set_const(fold(dst.var_off.value, src_value))
+            return
+        # the transfer writes dst, which may be the source register
+        src = src.copy() if src is not None \
+            else RegState.const_scalar(insn.imm)
         if not is64:
             # a 32-bit op reads the 32-bit subregisters: for rsh, arsh,
             # div and mod the upper bits would change the low result

@@ -6,9 +6,20 @@ kernel's per-op ``scalar_min_max_*`` helpers; where the kernel gives
 up (division, unknown shifts) we give up identically, because that
 imprecision is part of what the paper's §2.1 complains about (false
 positives forcing developers to "massage correct eBPF code").
+
+These transfers are 64-bit; the analyzer coerces the operands of a
+32-bit op to their subregisters first.  :data:`CONST_FOLDS` is the
+exact constant case kept beside them, as ``Tnum.mul`` keeps its
+const x const path: for each op in it, two constant operands make
+the generic transfer return exactly the constant the concrete op
+computes, so the analyzer computes that constant on plain integers
+and builds no operand state.  An op whose transfer returns anything
+else for constants stays out of it.
 """
 
 from __future__ import annotations
+
+import operator
 
 from repro.ebpf.verifier.regstate import (
     RegState,
@@ -166,4 +177,15 @@ SCALAR_OPS = {
     "and": alu_and, "or": alu_or, "xor": alu_xor,
     "lsh": alu_lsh, "rsh": alu_rsh, "arsh": alu_arsh,
     "div": alu_div, "mod": alu_mod,
+}
+
+#: 64-bit op -> its result on two unsigned 64-bit constants (shift
+#: amounts below 64); ``RegState.set_const`` wraps it to 64 bits.
+#: div and mod stay out: mod's transfer keeps the range [0, d-1], as
+#: the kernel's does, and div's makes a zero divisor unknown.
+CONST_FOLDS = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "and": operator.and_, "or": operator.or_, "xor": operator.xor,
+    "lsh": operator.lshift, "rsh": operator.rshift,
+    "arsh": lambda value, shift: u64_to_s64(value) >> shift,
 }

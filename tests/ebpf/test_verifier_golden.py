@@ -7,6 +7,12 @@ verifier as it stood before its fast paths (unchecked tnum results,
 single-copy forks, skipped dead snapshots, indexed cycle keys) went
 in, so any change to what the verifier decides or counts fails here,
 not only where some other test happens to assert on it.
+
+The ``logs`` group also hashes each load's ``log_level=2`` trace,
+which prints the abstract state of every live register at every
+instruction walked, so it pins states, not only verdicts and
+counters.  Its literal was computed before the constant-operand fold
+in ``Verifier._do_alu`` went in.
 """
 
 import functools
@@ -35,7 +41,7 @@ FUZZ_PROGRAMS = 1000
 
 
 def outcome(insns, config: VerifierConfig) -> str:
-    """One load's golden line."""
+    """One load's golden line, followed by its log at ``log_level=2``."""
     verifier = Verifier(insns, ProgType.KPROBE, REGISTRY, {}, config)
     try:
         verifier.verify()
@@ -43,8 +49,11 @@ def outcome(insns, config: VerifierConfig) -> str:
     except Exception as error:  # noqa: BLE001 - the type is the result
         verdict = f"rejected|{type(error).__name__}|{error}"
     stats = verifier.stats
-    return (f"{verdict}|{stats.insns_processed}|{stats.states_explored}"
+    line = (f"{verdict}|{stats.insns_processed}|{stats.states_explored}"
             f"|{stats.prune_hits}|{stats.peak_pending}")
+    if config.log_level >= 2:
+        line = "\n".join([line, *stats.log])
+    return line
 
 
 def counted_loop(count: int) -> list:
@@ -181,6 +190,13 @@ def cost_lines() -> list:
     return lines
 
 
+def log_lines() -> list:
+    programs = fuzz_programs()[:200] + [straight_line_program(64),
+                                        diamond_program(4)]
+    return [outcome(program, VerifierConfig(log_level=2))
+            for program in programs]
+
+
 GROUPS = {
     "fuzz-default-bugs": lambda: fuzz_lines(BugConfig()),
     "fuzz-all-patched": lambda: fuzz_lines(BugConfig.all_patched()),
@@ -188,6 +204,7 @@ GROUPS = {
     "loops": loop_lines,
     "forks-and-calls": fork_and_call_lines,
     "cost": cost_lines,
+    "logs": log_lines,
 }
 
 GOLDEN = {
@@ -203,6 +220,8 @@ GOLDEN = {
         "11c680cdb58b1bbf77e580de59225c3f8b80cc0d177687039cb47cb515acfe31",
     "cost":
         "ed56fe68004e3ae9eddcbb89597f26d8f50fd4a44752d841d46eb4599f94d691",
+    "logs":
+        "670e3e56920d2bf7544986bdbc99fdceabc06089664e186b4cacbb596dbe6792",
 }
 
 
