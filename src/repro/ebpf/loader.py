@@ -82,6 +82,29 @@ def _load_lines(event: KernelEvent) -> Tuple[str, ...]:
             f"verifier", loaded)
 
 
+def _forget_on_free(table: Dict[int, "weakref.KeyedRef"], live: object):
+    """The callback of a program table entry: it drops the freed
+    program's id from the table and the program from the kernel's
+    live-program gauge ``live``.  It closes over the table and the
+    gauge, not the subsystem."""
+    def freed(ref: weakref.KeyedRef) -> None:
+        # a collection that frees the subsystem with the program may
+        # run _orphan first, which clears the table
+        table.pop(ref.key, None)
+        live.dec()
+    return freed
+
+
+def _orphan(table: Dict[int, "weakref.KeyedRef"], live: object) -> None:
+    """A subsystem was collected while programs it loaded are still
+    held: each now leaves the gauge through a finalizer of its own."""
+    held = [ref() for ref in table.values()]
+    table.clear()
+    for prog in held:
+        if prog is not None:
+            weakref.finalize(prog, live.dec)
+
+
 @dataclass
 class LoadedProgram:
     """A verified, JIT-compiled program ready to run.
@@ -140,12 +163,16 @@ class BpfSubsystem:
         self.load_cache: Optional[ProgramLoadCache] = \
             ProgramLoadCache() if use_load_cache else None
         self._maps: Dict[int, BpfMap] = {}
-        #: live programs by id.  The table does not own them: CPython's
-        #: reference count is the program's refcount, so a program is
-        #: freed on its last put and drops out of here with no side
-        #: effect.  Ids only grow, so a freed id is never reissued.
-        self._progs: weakref.WeakValueDictionary[int, LoadedProgram] = \
-            weakref.WeakValueDictionary()
+        #: live programs by id, as weak references: the table does not
+        #: own them.  CPython's reference count is the program's
+        #: refcount, so a program is freed on its last put, and its
+        #: entry's callback drops it from here and from the kernel's
+        #: live-program gauge: one weak reference per load.  Ids only
+        #: grow, so a freed id is never reissued.
+        self._progs: Dict[int, weakref.KeyedRef] = {}
+        live = kernel.telemetry.live_programs("ebpf")
+        self._prog_freed = _forget_on_free(self._progs, live)
+        weakref.finalize(self, _orphan, self._progs, live).atexit = False
         self._next_fd = 3
         self._next_prog_id = 1
         #: loads this kernel's own verifier checked, accepted or not
@@ -431,10 +458,11 @@ class BpfSubsystem:
             compiled=entry.compiled if entry is not None else None,
             cache_entry=entry)
         self._next_prog_id += 1
-        self._progs[prog.prog_id] = prog
+        self._progs[prog.prog_id] = weakref.KeyedRef(
+            prog, self._prog_freed, prog.prog_id)
         hit = cached is not None
         self.kernel.telemetry.record_load(
-            "ebpf", name, program=prog, prog_id=prog.prog_id,
+            "ebpf", name, prog_id=prog.prog_id,
             cache_hit=hit,
             verify_ns=0 if hit else int(stats.wall_time_s * 1e9),
             jit_ns=jit_ns, predecode_ns=predecode_ns,
@@ -449,11 +477,13 @@ class BpfSubsystem:
 
     def prog_by_id(self, prog_id: int) -> Optional[LoadedProgram]:
         """Resolve a live program id (None once the program is freed)."""
-        return self._progs.get(prog_id)
+        ref = self._progs.get(prog_id)
+        return ref() if ref is not None else None
 
     def all_progs(self) -> List[LoadedProgram]:
         """Every live program, in load order."""
-        return [prog for __, prog in sorted(self._progs.items())]
+        progs = (ref() for __, ref in sorted(self._progs.items()))
+        return [prog for prog in progs if prog is not None]
 
     # -- execution ---------------------------------------------------------------
 

@@ -208,7 +208,7 @@ class Telemetry:
     # -- load pipeline (always on) ---------------------------------------------
 
     def record_load(self, framework: str, name: str, *,
-                    program: object,
+                    program: object = None,
                     prog_id: int = 0, cache_hit: bool = False,
                     verify_ns: int = 0, jit_ns: int = 0,
                     predecode_ns: int = 0, insns: int = 0,
@@ -217,8 +217,10 @@ class Telemetry:
                     **detail: object) -> None:
         """Record one trip through a framework's loading pipeline: the
         kernel's one ``load`` event, with the loader's log line(s) and
-        own fields.  ``program`` is what the load returned; it counts
-        in ``repro_progs_loaded`` until it is freed."""
+        own fields.  Every load counts in ``repro_progs_loaded`` until
+        its program is freed: ``program`` is what the load returned, or
+        None from a loader that keeps a weak reference to each program
+        and decrements :meth:`live_programs` from its callback."""
         self.prog(framework, name, prog_id).record_load(
             cache_hit=cache_hit, verify_ns=verify_ns, jit_ns=jit_ns,
             predecode_ns=predecode_ns, insns_processed=insns_processed,
@@ -236,13 +238,19 @@ class Telemetry:
             self._verify_hist.labels().observe(insns_processed)
         live = self._progs_loaded.labels(framework)
         live.inc()
-        weakref.finalize(program, live.dec)
+        if program is not None:
+            weakref.finalize(program, live.dec)
         self._events.publish(
             "load", source=program_tag(framework, name), dmesg=dmesg,
             prog_id=prog_id, cache_hit=cache_hit, insns=insns,
             verify_ns=verify_ns, jit_ns=jit_ns,
             predecode_ns=predecode_ns, insns_processed=insns_processed,
             states_explored=states_explored, **detail)
+
+    def live_programs(self, framework: str) -> object:
+        """``framework``'s ``repro_progs_loaded`` gauge, for a loader
+        that decrements it itself when one of its programs is freed."""
+        return self._progs_loaded.labels(framework)
 
     def record_compile(self, framework: str, name: str,
                        compile_ns: int) -> None:

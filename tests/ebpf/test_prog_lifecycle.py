@@ -10,6 +10,7 @@ alone, at its last put.
 """
 
 import gc
+import sys
 import weakref
 
 import pytest
@@ -190,3 +191,45 @@ class TestAttachmentsHoldReferences:
         del target
         bpf.destroy_map(slots.map_fd)
         assert ref() is None
+
+
+def live_gauge(kernel):
+    return kernel.telemetry.registry.get(
+        "repro_progs_loaded").labels("ebpf").value
+
+
+class TestLiveGauge:
+    """The table entry's weak reference also keeps the live-program
+    gauge: a program leaves it at its last put."""
+
+    def test_a_program_leaves_the_gauge_at_its_last_put(self, kernel,
+                                                         bpf):
+        kept = bpf.load_program(returns(1), ProgType.KPROBE, "kept")
+        prog = bpf.load_program(returns(2), ProgType.KPROBE, "life")
+        assert live_gauge(kernel) == 2
+        del prog
+        assert live_gauge(kernel) == 1
+        assert bpf.all_progs() == [kept]
+
+    def test_a_program_outliving_its_subsystem_leaves_the_gauge(
+            self, kernel):
+        bpf = BpfSubsystem(kernel)
+        prog = bpf.load_program(returns(2), ProgType.KPROBE, "orphan")
+        gone = weakref.ref(bpf)
+        del bpf
+        gc.collect()  # the subsystem and its VM refer to each other
+        assert gone() is None
+        assert live_gauge(kernel) == 1
+        del prog
+        assert live_gauge(kernel) == 0
+
+    def test_a_program_collected_with_its_subsystem_leaves_the_gauge(
+            self, kernel, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        bpf = BpfSubsystem(kernel)
+        bpf.held = bpf.load_program(returns(2), ProgType.KPROBE, "cycle")
+        del bpf
+        gc.collect()
+        assert unraisable == []
+        assert live_gauge(kernel) == 0
