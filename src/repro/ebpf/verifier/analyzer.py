@@ -595,10 +595,11 @@ class Verifier:
         destination and source (an immediate, or a register holding a
         constant scalar) are both known constants is then folded on
         plain integers: the generic transfer would return exactly that
-        constant, after building a state for the immediate and
-        settling bounds three times over.  Every other op runs the
-        generic transfer in :data:`bounds.SCALAR_OPS`; a 32-bit op
-        reads the 32-bit subregisters and zero-extends its result.
+        constant, after building a state for the immediate and running
+        the tnum and range transfer and ``settle_bounds``.  Every other
+        op runs the generic transfer in :data:`bounds.SCALAR_OPS`; a
+        32-bit op reads the 32-bit subregisters and zero-extends its
+        result.
         """
         is64 = insn.insn_class == isa.BPF_ALU64
         op = insn.opcode & isa.ALU_OP_MASK

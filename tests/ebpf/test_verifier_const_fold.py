@@ -67,11 +67,6 @@ def test_fold_equals_generic_transfer(op, data):
     assert folded == generic
 
 
-def test_fold_covers_only_ops_whose_transfer_yields_the_constant():
-    assert sorted(bounds.CONST_FOLDS) == sorted(
-        ("add", "sub", "mul", "and", "or", "xor", "lsh", "rsh", "arsh"))
-
-
 def test_mod_keeps_its_range():
     r0 = exit_r0(Asm().mov64_imm(R0, 10).alu64_imm("mod", R0, 3)
                  .exit_().program())
@@ -111,7 +106,7 @@ def test_straight_line_calls_no_settle_bounds(monkeypatch):
 
 
 def test_const_tnum_with_empty_bounds_is_not_folded(monkeypatch):
-    # jset is never decided, so the fall side of "r4 & 0x57d1_8dc0" is
+    # jset is never decided, so the fall side of "r4 & 0x57d1_e7c0" is
     # walked although the constant r4 always takes the jump: refining
     # r4 there leaves a constant tnum whose bounds are empty.  The
     # generic transfer carries those bounds on; the fold would not.
